@@ -307,6 +307,48 @@ func TestMCFSDServeSnapshotRestart(t *testing.T) {
 	}
 }
 
+// TestMCFSDSigtermRightAfterListening sends SIGTERM the moment the
+// daemon announces its address. The shutdown handler is installed
+// before the announcement, so the daemon must drain and exit 0 with its
+// farewell line instead of dying by the default signal action.
+func TestMCFSDSigtermRightAfterListening(t *testing.T) {
+	inst := filepath.Join(t.TempDir(), "inst.mcfs")
+	run(t, "mcfsgen",
+		"-type", "uniform", "-n", "300", "-alpha", "2.5",
+		"-m", "20", "-l", "40", "-cap", "8", "-k", "5",
+		"-seed", "5", "-o", inst)
+	for attempt := 0; attempt < 3; attempt++ {
+		cmd := exec.Command(filepath.Join(binDir, "mcfsd"), "-in", inst, "-quiet", "-addr", "127.0.0.1:0")
+		stdout, err := cmd.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmd.Stderr = os.Stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		sc := bufio.NewScanner(stdout)
+		var rest []string
+		for sc.Scan() {
+			if strings.Contains(sc.Text(), "listening on") {
+				if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+					t.Fatalf("signal mcfsd: %v", err)
+				}
+				break
+			}
+		}
+		for sc.Scan() {
+			rest = append(rest, sc.Text())
+		}
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("attempt %d: mcfsd did not exit cleanly: %v (output after listening: %q)", attempt, err, rest)
+		}
+		if len(rest) == 0 || rest[len(rest)-1] != "mcfsd: bye" {
+			t.Fatalf("attempt %d: output after listening %q, want it to end with \"mcfsd: bye\"", attempt, rest)
+		}
+	}
+}
+
 // newestGeneration reports the highest snapshot generation number in
 // dir, or 0 when none exist (the directory may not exist yet). Retention
 // pruning caps the file COUNT, so waiting on generation numbers is the

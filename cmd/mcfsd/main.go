@@ -157,6 +157,12 @@ func main() {
 		fatal(err)
 	}
 
+	// Install the shutdown handler before any listener is announced: a
+	// SIGTERM that arrives right after the "listening" line must drain,
+	// not kill the process with the default action.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+
 	// Optional debug listener: pprof registered itself on
 	// http.DefaultServeMux via its import; expvar contributes the
 	// standard vars plus the solver work counters.
@@ -188,8 +194,6 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigs:
 		fmt.Printf("mcfsd: %s, shutting down\n", sig)

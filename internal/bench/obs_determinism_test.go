@@ -65,17 +65,40 @@ func solveTwice(t *testing.T, algo mcfs.Algorithm, inst *data.Instance, opts ...
 func TestObsTracedWMAIdentical(t *testing.T) {
 	inst := obsTestInstance(t, 128, 13, 20)
 	rec := solveTwice(t, mcfs.AlgorithmWMA, inst, mcfs.WithSeed(1))
-	// WMA's shortest-path work flows through the SSPA matching layer
-	// (the standalone Dijkstra counters belong to the graph entry
-	// points, which this workload does not cross).
 	for _, c := range []obs.Counter{obs.SSPASearches, obs.WMAIterations, obs.SSPAAugmentingPaths} {
 		if rec.Counter(c) == 0 {
 			t.Fatalf("traced WMA recorded no %s — the diff pinned nothing", c.Name())
 		}
 	}
-	if len(rec.Spans()) == 0 {
+	spans := rec.Spans()
+	if len(spans) == 0 {
 		t.Fatal("traced WMA produced no phase spans")
 	}
+	// The selection is sparse (k=13 for m=128), so the final assignment
+	// takes its candidates from k facility-side network searches, whose
+	// work must show up under wma/assign.
+	assign := findSpan(spans, "wma/assign")
+	if assign == nil {
+		t.Fatal("traced WMA produced no wma/assign span")
+	}
+	for _, c := range []obs.Counter{obs.DijkstraHeapPops, obs.DijkstraRelaxations} {
+		if assign.Counters[c.Name()] == 0 {
+			t.Fatalf("wma/assign span carries no %s: %v", c.Name(), assign.Counters)
+		}
+	}
+}
+
+// findSpan returns the first span named name in a depth-first walk.
+func findSpan(spans []*obs.Span, name string) *obs.Span {
+	for _, s := range spans {
+		if s.Name == name {
+			return s
+		}
+		if hit := findSpan(s.Children, name); hit != nil {
+			return hit
+		}
+	}
+	return nil
 }
 
 func TestObsTracedExactIdentical(t *testing.T) {

@@ -4,7 +4,8 @@
 // Unlike the experiment runners (which reproduce the paper's figures),
 // the perf suite exists to make "faster" a checkable claim over time: it
 // measures the SSPA inner loop — resumable Dijkstra, the reduced-cost
-// FindPair search — plus the end-to-end WMA solve on the city presets,
+// FindPair search — and the assignment primitive AssignToSelection, plus
+// the end-to-end WMA solve on the city presets,
 // and emits a schema-versioned JSON file that ComparePerf can diff
 // against any earlier run. The bench package is the one layer allowed to
 // read the wall clock (the mcfslint determinism rule), which is why the
@@ -188,6 +189,13 @@ func cityPerfCases(city string, cfg PerfConfig) ([]perfCase, error) {
 		radius = 1
 	}
 	mask, _ := inst.CandidateMask()
+	// The AssignToSelection row re-assigns to WMA's own selection, the
+	// final phase of the WMA row measured on its own.
+	wmaSol, _, err := mcfs.AlgorithmWMA.Solve(context.Background(), inst, mcfs.WithSeed(cfg.Seed))
+	if err != nil {
+		return nil, fmt.Errorf("bench: perf selection for %s: %w", city, err)
+	}
+	selected := wmaSol.Selected
 
 	cases := []perfCase{
 		{name("Dijkstra"), func(b *testing.B) {
@@ -252,6 +260,17 @@ func cityPerfCases(city string, cfg PerfConfig) ([]perfCase, error) {
 				}
 			}
 			return nil
+		}},
+		{name("AssignToSelection"), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := mcfs.AssignToSelection(inst, selected); err != nil {
+					b.Fatalf("AssignToSelection: %v", err)
+				}
+			}
+		}, func(ctx context.Context) error {
+			_, err := mcfs.AssignToSelectionCtx(ctx, inst, selected)
+			return err
 		}},
 		{name("WMA"), func(b *testing.B) {
 			b.ReportAllocs()

@@ -64,3 +64,29 @@ func TestFindPairCtxBackgroundMatchesFindPair(t *testing.T) {
 		}
 	}
 }
+
+// TestListFedMatcher covers the list source's edges: an empty list is a
+// customer with no reachable facility, and a list-fed matcher refuses
+// to grow.
+func TestListFedMatcher(t *testing.T) {
+	facs := []data.Facility{{Node: 0, Capacity: 1}, {Node: 5, Capacity: 1}}
+	mt := NewFromLists([]int32{2, 3, 4}, facs, [][]Candidate{
+		{{Fac: 0, W: 2}, {Fac: 1, W: 3}},
+		{{Fac: 0, W: 3}, {Fac: 1, W: 2}},
+		nil,
+	})
+	for i, want := range []bool{true, true, false} {
+		if got := mt.FindPair(i); got != want {
+			t.Fatalf("FindPair(%d) = %v, want %v", i, got, want)
+		}
+	}
+	if got := mt.TotalMatchedCost(); got != 4 {
+		t.Fatalf("cost = %d, want 4", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AddCustomer on a list-fed matcher did not panic")
+		}
+	}()
+	mt.AddCustomer(1)
+}

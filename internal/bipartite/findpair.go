@@ -103,10 +103,12 @@ func (mt *Matcher) searcherErr() error {
 // searcher does not have — an internal invariant breach reported
 // explicitly rather than silently retried.
 func (mt *Matcher) materializeFailure(i int) error {
-	if serr := mt.searchers[i].Err(); serr != nil {
-		return serr
+	if mt.searchers != nil {
+		if serr := mt.searchers[i].Err(); serr != nil {
+			return serr
+		}
 	}
-	return fmt.Errorf("bipartite: invariant breach: finite threshold promised customer %d a next edge but its searcher is exhausted", i)
+	return fmt.Errorf("bipartite: invariant breach: finite threshold promised customer %d a next edge but its source is exhausted", i)
 }
 
 // shortestPath runs the inner search of Algorithm 2, line 8: shortest

@@ -5,7 +5,24 @@ import (
 	"testing"
 
 	"mcfs/internal/data"
+	"mcfs/internal/graph"
 )
+
+// candidateLists turns a customer×facility distance table into the
+// candidate lists of NewFromLists: every reachable facility, shuffled
+// (the matcher orders them itself).
+func candidateLists(rng *rand.Rand, dist [][]int64) [][]Candidate {
+	lists := make([][]Candidate, len(dist))
+	for i, row := range dist {
+		for j, d := range row {
+			if d < graph.Inf {
+				lists[i] = append(lists[i], Candidate{Fac: int32(j), W: d})
+			}
+		}
+		rng.Shuffle(len(lists[i]), func(a, b int) { lists[i][a], lists[i][b] = lists[i][b], lists[i][a] })
+	}
+	return lists
+}
 
 // fuzzMod reduces a raw fuzz integer into [0, m) without overflowing on
 // MinInt64 (whose negation is itself).
@@ -23,7 +40,9 @@ func fuzzMod(raw, m int64) int64 {
 // optimizations. For any interleaving of FindPair calls the engine's
 // matching must cost exactly the reference optimum for the demand vector
 // it achieved, and a failed FindPair must mean the reference cannot
-// place another unit for that customer either.
+// place another unit for that customer either. A list-fed matcher
+// (NewFromLists) over the same distances must make the same FindPair
+// decisions and reach the same cost.
 func FuzzMatcher(f *testing.F) {
 	f.Add(int64(1), int64(3), int64(3), int64(2), int64(2))
 	f.Add(int64(42), int64(1), int64(6), int64(1), int64(3))
@@ -54,9 +73,12 @@ func FuzzMatcher(f *testing.F) {
 		mt := New(g, custNodes, facs)
 		demands := make([]int, m)
 		lastFailed := -1
+		var outcomes []bool
 		for r := 0; r < rounds; r++ {
 			for i := 0; i < m; i++ {
-				if mt.FindPair(i) {
+				ok := mt.FindPair(i)
+				outcomes = append(outcomes, ok)
+				if ok {
 					demands[i]++
 				} else {
 					lastFailed = i
@@ -66,6 +88,16 @@ func FuzzMatcher(f *testing.F) {
 		checkInvariants(t, mt)
 
 		dist := denseDistances(g, custNodes, facs)
+		lt := NewFromLists(custNodes, facs, candidateLists(rng, dist))
+		for call, want := range outcomes {
+			if got := lt.FindPair(call % m); got != want {
+				t.Fatalf("list-fed FindPair(%d) = %v on call %d, searcher-fed %v (seed %d)", call%m, got, call, want, seed)
+			}
+		}
+		checkInvariants(t, lt)
+		if got, want := lt.TotalMatchedCost(), mt.TotalMatchedCost(); got != want {
+			t.Fatalf("list-fed cost %d != searcher-fed cost %d (seed %d)", got, want, seed)
+		}
 		want, ok := refMinCost(dist, caps, demands)
 		if !ok {
 			t.Fatalf("reference cannot satisfy demands %v the engine matched (caps %v, seed %d)",

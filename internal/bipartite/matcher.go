@@ -4,7 +4,8 @@
 //
 //   - lazy edge materialization driven by one persistent network-Dijkstra
 //     per customer (graph.NNSearcher), so only a small fraction of the
-//     ℓ·m possible edges is ever weighted;
+//     ℓ·m possible edges is ever weighted — or, for a matcher built with
+//     NewFromLists, by precomputed per-customer candidate lists;
 //   - node potentials keeping residual reduced costs nonnegative;
 //   - the Theorem-1 pruning threshold min{v.dist + nnDist(v) − v.p} that
 //     certifies a running augmenting path optimal over the *complete*
@@ -19,6 +20,7 @@ package bipartite
 
 import (
 	"context"
+	"fmt"
 
 	"mcfs/internal/data"
 	"mcfs/internal/graph"
@@ -31,6 +33,13 @@ type bedge struct {
 	fac     int32 // facility index
 	w       int64 // original weight: network distance customer→facility
 	matched bool
+}
+
+// Candidate is one precomputed customer→facility edge for a list-fed
+// matcher (NewFromLists).
+type Candidate struct {
+	Fac int32 // facility index
+	W   int64 // network distance customer→facility
 }
 
 // facEdge back-references a matched edge from the facility side.
@@ -59,7 +68,13 @@ type Matcher struct {
 	facs      []data.Facility
 	isCand    []bool
 
-	searchers  []*graph.NNSearcher
+	// Candidate-edge source: exactly one of searchers (lazy, one
+	// NNSearcher per customer) and lists (precomputed; lists[i] holds
+	// customer i's unmaterialized candidates as a binary min-heap on
+	// (W, Fac)) is non-nil.
+	searchers []*graph.NNSearcher
+	lists     [][]Candidate
+
 	edges      [][]bedge
 	facMatch   [][]facEdge
 	facIdx     map[int32]int
@@ -111,18 +126,70 @@ const parentNone = int64(-1) << 62
 // facilities over network g. The candidate mask is shared by all
 // per-customer searchers.
 func New(g *graph.Graph, custNodes []int32, facs []data.Facility) *Matcher {
-	m, l := len(custNodes), len(facs)
 	isCand := make([]bool, g.N())
 	for _, f := range facs {
 		isCand[f.Node] = true
 	}
+	mt := newMatcher(custNodes, facs)
+	mt.g = g
+	mt.isCand = isCand
+	mt.searchers = make([]*graph.NNSearcher, len(custNodes))
+	return mt
+}
+
+// NewFromLists creates a matcher whose candidate edges come from
+// precomputed lists instead of per-customer network searches: lists[i]
+// holds customer i's candidate facilities (indexes into facs, each at
+// most once, in any order), and a facility missing from it is
+// unreachable from the customer. Materialization and the Theorem-1
+// nnDist take the list's minimum by (W, Fac), so for complete lists the
+// matching is a minimum-cost flow exactly as with New, and equal-weight
+// candidates are materialized by facility index. The lists are ordered
+// lazily, as binary heaps: a customer typically materializes a few of
+// its k candidates, so a full sort would be wasted. The matcher takes
+// ownership of lists and reorders them in place. A list-fed matcher
+// cannot grow: AddCustomer panics.
+func NewFromLists(custNodes []int32, facs []data.Facility, lists [][]Candidate) *Matcher {
+	if len(lists) != len(custNodes) {
+		panic(fmt.Sprintf("bipartite: %d candidate lists for %d customers", len(lists), len(custNodes)))
+	}
+	for _, h := range lists {
+		for j := len(h)/2 - 1; j >= 0; j-- {
+			siftDown(h, j)
+		}
+	}
+	mt := newMatcher(custNodes, facs)
+	mt.lists = lists
+	return mt
+}
+
+// siftDown restores the min-heap order on (W, Fac) below position j.
+func siftDown(h []Candidate, j int) {
+	for {
+		c := 2*j + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && candLess(h[r], h[c]) {
+			c = r
+		}
+		if !candLess(h[c], h[j]) {
+			return
+		}
+		h[j], h[c] = h[c], h[j]
+		j = c
+	}
+}
+
+func candLess(a, b Candidate) bool { return a.W < b.W || a.W == b.W && a.Fac < b.Fac }
+
+// newMatcher allocates the state common to both candidate sources.
+func newMatcher(custNodes []int32, facs []data.Facility) *Matcher {
+	m, l := len(custNodes), len(facs)
 	n := m + l
 	mt := &Matcher{
-		g:         g,
 		custNodes: append([]int32(nil), custNodes...),
 		facs:      facs,
-		isCand:    isCand,
-		searchers: make([]*graph.NNSearcher, m),
 		edges:     make([][]bedge, m),
 		facMatch:  make([][]facEdge, l),
 
@@ -144,6 +211,9 @@ func New(g *graph.Graph, custNodes []int32, facs []data.Facility) *Matcher {
 // initialization on the customer's first FindPair. Facilities occupy the
 // low node ids, so existing state is unaffected.
 func (mt *Matcher) AddCustomer(node int32) int {
+	if mt.lists != nil {
+		panic("bipartite: AddCustomer on a list-fed matcher")
+	}
 	i := len(mt.custNodes)
 	mt.custNodes = append(mt.custNodes, node)
 	mt.searchers = append(mt.searchers, nil)
@@ -259,19 +329,42 @@ func (mt *Matcher) searcher(i int) *graph.NNSearcher {
 }
 
 // nnDist returns the weight of customer i's next unmaterialized edge
-// (graph.Inf when exhausted). Edges are only ever materialized through
-// the customer's own searcher, in nondecreasing order, so the searcher's
-// prefetched peek is exactly that weight.
-func (mt *Matcher) nnDist(i int) int64 { return mt.searcher(i).PeekDist() }
+// (graph.Inf when exhausted). Edges are only ever materialized from the
+// customer's own source, in nondecreasing order, so the searcher's
+// prefetched peek (or the top of the list's heap) is exactly that
+// weight.
+func (mt *Matcher) nnDist(i int) int64 {
+	if mt.lists != nil {
+		if h := mt.lists[i]; len(h) > 0 {
+			return h[0].W
+		}
+		return graph.Inf
+	}
+	return mt.searcher(i).PeekDist()
+}
 
 // materialize appends customer i's next nearest edge to G_b and returns
-// false when the searcher is exhausted.
+// false when its source is exhausted.
 func (mt *Matcher) materialize(i int) bool {
-	node, w, ok := mt.searcher(i).Next()
-	if !ok {
-		return false
+	var j int
+	var w int64
+	if mt.lists != nil {
+		h := mt.lists[i]
+		if len(h) == 0 {
+			return false
+		}
+		j, w = int(h[0].Fac), h[0].W
+		last := len(h) - 1
+		h[0] = h[last]
+		mt.lists[i] = h[:last]
+		siftDown(mt.lists[i], 0)
+	} else {
+		node, d, ok := mt.searcher(i).Next()
+		if !ok {
+			return false
+		}
+		j, w = mt.facIndex(node), d
 	}
-	j := mt.facIndex(node)
 	mt.edges[i] = append(mt.edges[i], bedge{fac: int32(j), w: w})
 	mt.stats.EdgesMaterialized++
 	// A fresh edge may have negative reduced cost; record it so the inner

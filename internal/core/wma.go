@@ -256,15 +256,40 @@ func explore(ctx context.Context, inst *data.Instance, opt Options) ([]int, erro
 // the given selected facilities, each customer matched exactly once, and
 // packages the solution. It is the optimal-assignment primitive shared
 // by WMA's final phase, the Hilbert and BRNN baselines, the exact
-// solver, and the Uniform-First strategy.
+// solver, Uniform-First and local search.
+//
+// The SSPA matcher takes its candidate edges from one of two sources,
+// chosen per call by a fixed rule on the sizes (useKSource): when the
+// graph is undirected and the selection is sparse (k² ≤ 5·m), k
+// targeted searches from the selected facilities precompute every
+// customer's candidate list; otherwise each customer gets a lazy
+// NNSearcher, as in WMA's explore loop. The objective is the unique
+// optimum either way; the sources may differ only in which of several
+// equidistant facilities a customer gets (the k-source lists order ties
+// by position in selected, the searchers by settle order). WMA's
+// explore loop and the dynamic Reallocator keep the lazy source: they
+// match against all ℓ candidates and need only each customer's few
+// nearest, and the Reallocator grows its matcher one customer at a time.
 func AssignToSelection(inst *data.Instance, selected []int, opt Options) (*data.Solution, error) {
 	return AssignToSelectionCtx(context.Background(), inst, selected, opt)
 }
 
 // AssignToSelectionCtx is AssignToSelection with cooperative
-// cancellation, checked per augmenting path; on cancellation it returns
-// nil and ctx.Err().
+// cancellation, checked before each k-source search, every ~4096 heap
+// pops inside the network searches, and per augmenting path; on
+// cancellation it returns nil and ctx.Err().
 func AssignToSelectionCtx(ctx context.Context, inst *data.Instance, selected []int, opt Options) (*data.Solution, error) {
+	return assignToSelection(ctx, inst, selected, opt, useKSource(inst.G, inst.M(), len(selected)))
+}
+
+// assignToSelection is AssignToSelectionCtx with the candidate source
+// fixed by the caller: kSource selects the k-source lists (undirected
+// graphs only), false the lazy per-customer searchers. Tests use it to
+// cross-check the two sources.
+func assignToSelection(ctx context.Context, inst *data.Instance, selected []int, opt Options, kSource bool) (*data.Solution, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	if p := obs.From(ctx).Phase("wma/assign"); p != nil {
 		defer p.End()
 	}
@@ -273,7 +298,18 @@ func AssignToSelectionCtx(ctx context.Context, inst *data.Instance, selected []i
 	for idx, j := range selected {
 		subset[idx] = inst.Facilities[j]
 	}
-	mt := bipartite.New(inst.G, inst.Customers, subset)
+	var mt *bipartite.Matcher
+	if kSource {
+		bufs := getKSourceBufs(inst.G, m, len(selected))
+		defer kSourcePool.Put(bufs)
+		lists, err := kSourceLists(ctx, inst, selected, bufs)
+		if err != nil {
+			return nil, err
+		}
+		mt = bipartite.NewFromLists(inst.Customers, subset, lists)
+	} else {
+		mt = bipartite.New(inst.G, inst.Customers, subset)
+	}
 	mt.SetExhaustive(opt.Exhaustive)
 	for i := 0; i < m; i++ {
 		ok, err := mt.FindPairCtx(ctx, i)

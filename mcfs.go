@@ -363,14 +363,16 @@ func SolveExhaustiveCtx(ctx context.Context, inst *Instance, maxSubsets int64) (
 
 // AssignToSelection computes the optimal assignment of all customers to
 // a fixed facility selection (indexes into inst.Facilities) — the
-// building block for custom selection strategies.
+// building block for custom selection strategies. The objective is the
+// unique optimum; a customer equidistant from several selected
+// facilities may get any of them.
 func AssignToSelection(inst *Instance, selected []int, opts ...Option) (*Solution, error) {
 	return AssignToSelectionCtx(context.Background(), inst, selected, opts...)
 }
 
 // AssignToSelectionCtx is AssignToSelection with cooperative
-// cancellation, checked per augmenting path; a cancelled run returns a
-// nil Solution and ctx.Err(). WithTimeBudget adds a deadline to ctx.
+// cancellation, checked inside the network searches and per augmenting
+// path; a cancelled run returns a nil Solution and ctx.Err(). WithTimeBudget adds a deadline to ctx.
 func AssignToSelectionCtx(ctx context.Context, inst *Instance, selected []int, opts ...Option) (*Solution, error) {
 	o, err := buildOptions(opts)
 	if err != nil {

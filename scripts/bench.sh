@@ -1,7 +1,7 @@
 #!/bin/sh
 # Perf-trajectory runner (DESIGN.md §11): measures the hot-path suite
-# (Dijkstra variants, NNSearcher, FindPair, end-to-end WMA) on the city
-# presets and writes a schema-versioned BENCH_<stamp>.json.
+# (Dijkstra variants, NNSearcher, FindPair, AssignToSelection, end-to-end
+# WMA) on the city presets and writes a schema-versioned BENCH_<stamp>.json.
 #
 # Usage:
 #   scripts/bench.sh [out.json] [extra mcfsperf flags...]
