@@ -49,9 +49,6 @@ type PerfConfig struct {
 	Quick bool
 	// Seed drives instance generation (same default as Config.Seed).
 	Seed int64
-	// Variant labels the measured configuration (e.g. "heap" when the
-	// queue override forces the binary heap); recorded in the file.
-	Variant string
 }
 
 // PerfBenchmark is one measured benchmark in a BENCH_*.json file.
@@ -75,7 +72,6 @@ type PerfFile struct {
 	GOOS       string          `json:"goos"`
 	GOARCH     string          `json:"goarch"`
 	NumCPU     int             `json:"num_cpu"`
-	Variant    string          `json:"variant,omitempty"`
 	Quick      bool            `json:"quick"`
 	Seed       int64           `json:"seed"`
 	Cities     []string        `json:"cities"`
@@ -120,7 +116,6 @@ func RunPerf(cfg PerfConfig, logf func(format string, args ...any)) (*PerfFile, 
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
-		Variant:   cfg.Variant,
 		Quick:     cfg.Quick,
 		Seed:      cfg.Seed,
 		Cities:    cities,
@@ -210,20 +205,27 @@ func cityPerfCases(city string, cfg PerfConfig) ([]perfCase, error) {
 		{name("MultiSourceDijkstra"), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g.MultiSourceDijkstra(sources)
+				if _, _, err := g.MultiSourceDijkstraCtx(context.Background(), sources); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}, func(ctx context.Context) error {
 			_, _, err := g.MultiSourceDijkstraCtx(ctx, sources)
 			return err
 		}},
+		// One scratch reused across searches, as the BRNN attraction loop
+		// does.
 		{name("DijkstraWithin"), func(b *testing.B) {
+			sc := g.NewScratch()
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g.DijkstraWithin(inst.Customers[i%len(inst.Customers)], radius)
+				if err := g.DijkstraWithinScratchCtx(context.Background(), inst.Customers[i%len(inst.Customers)], radius, sc); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}, func(ctx context.Context) error {
-			_, err := g.DijkstraWithinCtx(ctx, inst.Customers[0], radius)
-			return err
+			return g.DijkstraWithinScratchCtx(ctx, inst.Customers[0], radius, g.NewScratch())
 		}},
 		// NNSearcher has no context-taking variant: its incremental pulls
 		// are driven by the caller, so there is no probe (and no counters).

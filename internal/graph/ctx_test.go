@@ -59,14 +59,6 @@ func TestMultiSourceDijkstraCtxCancelled(t *testing.T) {
 	}
 }
 
-func TestDijkstraWithinCtxCancelled(t *testing.T) {
-	g := longLine(t, 3*checkEvery)
-	_, err := g.DijkstraWithinCtx(cancelledCtx(), 0, int64(g.N()))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
 func TestNNSearcherCtxCancelled(t *testing.T) {
 	n := 3 * checkEvery
 	g := longLine(t, n)

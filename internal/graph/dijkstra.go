@@ -26,195 +26,103 @@ func (g *Graph) Dijkstra(src int32) []int64 {
 // returns nil with ctx.Err(). An uncancelled run is identical to
 // Dijkstra.
 func (g *Graph) DijkstraCtx(ctx context.Context, src int32) ([]int64, error) {
-	dist := make([]int64, g.N())
-	for i := range dist {
-		dist[i] = Inf
+	sc := g.newSearch()
+	if err := g.search(ctx, sc, []int32{src}, nil, Inf, -1); err != nil {
+		return nil, err
 	}
-	dist[src] = 0
-	h := g.newDenseQueue()
-	h.Push(src, 0)
-	pops, relax := 0, 0
-	if rec := obs.From(ctx); rec != nil {
-		defer func() { flushSearchCounters(rec, h, int64(pops), int64(relax)) }()
-	}
-	for h.Len() > 0 {
-		if pops++; pops&(checkEvery-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		v, d := h.PopMin()
-		if d > dist[v] {
-			continue
-		}
-		for i := g.off[v]; i < g.off[v+1]; i++ {
-			u, nd := g.dst[i], d+g.w[i]
-			if nd < dist[u] {
-				dist[u] = nd
-				relax++
-				h.DecreaseKey(u, nd)
-			}
-		}
-	}
-	return dist, nil
+	return sc.dist, nil
 }
 
-// DijkstraWithin computes shortest-path distances from src to all nodes
-// within the given radius (inclusive), returned as a sparse map. A
-// negative radius means unbounded. It is the workhorse of the BRNN
-// baseline, whose search radius shrinks as facilities are placed.
-func (g *Graph) DijkstraWithin(src int32, radius int64) map[int32]int64 {
-	dist, _ := g.DijkstraWithinCtx(context.Background(), src, radius)
-	return dist
-}
-
-// DijkstraWithinCtx is DijkstraWithin with cooperative cancellation
-// (polled every checkEvery heap pops); on cancellation it returns nil
-// and ctx.Err().
-func (g *Graph) DijkstraWithinCtx(ctx context.Context, src int32, radius int64) (map[int32]int64, error) {
-	dist := map[int32]int64{src: 0}
-	h := g.newSparseQueue()
-	h.Push(src, 0)
-	pops, relax := 0, 0
-	if rec := obs.From(ctx); rec != nil {
-		defer func() { flushSearchCounters(rec, h, int64(pops), int64(relax)) }()
-	}
-	for h.Len() > 0 {
-		if pops++; pops&(checkEvery-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		v, d := h.PopMin()
-		if d > dist[v] {
-			continue
-		}
-		for i := g.off[v]; i < g.off[v+1]; i++ {
-			u, nd := g.dst[i], d+g.w[i]
-			if radius >= 0 && nd > radius {
-				continue
-			}
-			if old, ok := dist[u]; !ok || nd < old {
-				dist[u] = nd
-				relax++
-				h.DecreaseKey(u, nd)
-			}
-		}
-	}
-	return dist, nil
-}
-
-// DijkstraToTargets computes shortest-path distances from src to each
-// target node, stopping as soon as all targets are settled. The result
-// maps target node to distance (Inf if unreachable).
-func (g *Graph) DijkstraToTargets(src int32, targets []int32) map[int32]int64 {
-	out, _ := g.DijkstraToTargetsCtx(context.Background(), src, targets)
-	return out
-}
-
-// DijkstraToTargetsCtx is DijkstraToTargets with cooperative
-// cancellation (polled every checkEvery heap pops); on cancellation it
-// returns nil and ctx.Err().
-func (g *Graph) DijkstraToTargetsCtx(ctx context.Context, src int32, targets []int32) (map[int32]int64, error) {
-	want := make(map[int32]bool, len(targets))
-	for _, t := range targets {
-		want[t] = true
-	}
-	out := make(map[int32]int64, len(targets))
-	remaining := len(want)
-	dist := map[int32]int64{src: 0}
-	h := g.newSparseQueue()
-	h.Push(src, 0)
-	pops, relax := 0, 0
-	if rec := obs.From(ctx); rec != nil {
-		defer func() { flushSearchCounters(rec, h, int64(pops), int64(relax)) }()
-	}
-	for h.Len() > 0 && remaining > 0 {
-		if pops++; pops&(checkEvery-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		v, d := h.PopMin()
-		if d > dist[v] {
-			continue
-		}
-		if want[v] {
-			if _, seen := out[v]; !seen {
-				out[v] = d
-				remaining--
-			}
-		}
-		for i := g.off[v]; i < g.off[v+1]; i++ {
-			u, nd := g.dst[i], d+g.w[i]
-			if old, ok := dist[u]; !ok || nd < old {
-				dist[u] = nd
-				relax++
-				h.DecreaseKey(u, nd)
-			}
-		}
-	}
-	for _, t := range targets {
-		if _, ok := out[t]; !ok {
-			out[t] = Inf
-		}
-	}
-	return out, nil
-}
-
-// MultiSourceDijkstra computes, for every node, the distance to its
+// MultiSourceDijkstraCtx computes, for every node, the distance to its
 // nearest source and that source's index in sources. Nodes unreachable
 // from all sources get distance Inf and owner -1. It implements network
 // Voronoi partitioning (ties go to the source settled first, i.e., the
-// lowest-distance one discovered earliest).
-func (g *Graph) MultiSourceDijkstra(sources []int32) (dist []int64, owner []int32) {
-	dist, owner, _ = g.MultiSourceDijkstraCtx(context.Background(), sources)
-	return dist, owner
-}
-
-// MultiSourceDijkstraCtx is MultiSourceDijkstra with cooperative
-// cancellation (polled every checkEvery heap pops); on cancellation it
-// returns nils and ctx.Err().
+// lowest-distance one discovered earliest; a repeated source node keeps
+// its first index). ctx is polled every checkEvery heap pops; on
+// cancellation it returns nils and ctx.Err().
 func (g *Graph) MultiSourceDijkstraCtx(ctx context.Context, sources []int32) (dist []int64, owner []int32, err error) {
-	n := g.N()
-	dist = make([]int64, n)
-	owner = make([]int32, n)
-	for i := range dist {
-		dist[i] = Inf
+	owner = make([]int32, g.N())
+	for i := range owner {
 		owner[i] = -1
 	}
-	h := g.newDenseQueue()
+	sc := g.newSearch()
+	if err := g.search(ctx, sc, sources, owner, Inf, -1); err != nil {
+		return nil, nil, err
+	}
+	return sc.dist, owner, nil
+}
+
+// search is the one Dijkstra loop behind every search in this package
+// except NNSearcher's resumable one. It settles nodes outward from
+// sources (each at distance 0; a repeated source node keeps its first
+// index) into sc, whose labels must be unset (newSearch, NewScratch, or
+// begin), and:
+//   - relaxes a label only while it stays within radius (Inf: no bound),
+//     so bounded and unbounded searches share one compare per arc;
+//   - when owner is non-nil, sets owner[v] to the index in sources of
+//     the source that v's label comes from;
+//   - stops once remaining, the number of distinct sc.want nodes not yet
+//     settled, reaches zero (a negative count never does);
+//   - records the labelled nodes in sc.visited in discovery order, unless
+//     sc.visited is nil.
+//
+// Each node pops at its final distance exactly once (weights are
+// positive and every queue surfaces superseded entries at larger keys),
+// so the settled node needs no mark of its own. The work counters go to
+// the recorder in ctx, if any, when the search returns. On cancellation
+// it returns ctx.Err() and sc holds a partial search.
+func (g *Graph) search(ctx context.Context, sc *SearchScratch, sources, owner []int32, radius int64, remaining int) error {
+	// Locals, not sc's fields: the frontier calls are opaque to the
+	// compiler, which would otherwise reload every slice header per arc.
+	dist, want, h := sc.dist, sc.want, sc.frontier
+	visited := sc.visited
 	for idx, s := range sources {
 		if dist[s] == 0 {
-			continue // duplicate source node; first one wins
+			continue // repeated source
 		}
 		dist[s] = 0
-		owner[s] = int32(idx)
+		if visited != nil {
+			visited = append(visited, s)
+		}
+		if owner != nil {
+			owner[s] = int32(idx)
+		}
 		h.Push(s, 0)
 	}
 	pops, relax := 0, 0
 	if rec := obs.From(ctx); rec != nil {
 		defer func() { flushSearchCounters(rec, h, int64(pops), int64(relax)) }()
 	}
-	for h.Len() > 0 {
+	for h.Len() > 0 && remaining != 0 {
 		if pops++; pops&(checkEvery-1) == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, nil, err
+				sc.visited = visited
+				return err
 			}
 		}
 		v, d := h.PopMin()
 		if d > dist[v] {
 			continue
 		}
+		if remaining > 0 && want[v] {
+			remaining--
+		}
 		for i := g.off[v]; i < g.off[v+1]; i++ {
 			u, nd := g.dst[i], d+g.w[i]
-			if nd < dist[u] {
-				dist[u] = nd
-				owner[u] = owner[v]
-				relax++
-				h.DecreaseKey(u, nd)
+			if nd >= dist[u] || nd > radius {
+				continue
 			}
+			if visited != nil && dist[u] == Inf {
+				visited = append(visited, u)
+			}
+			dist[u] = nd
+			if owner != nil {
+				owner[u] = owner[v]
+			}
+			relax++
+			h.Push(u, nd) // inserts u, or lowers its key: one call either way
 		}
 	}
-	return dist, owner, nil
+	sc.visited = visited
+	return nil
 }

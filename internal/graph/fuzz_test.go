@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -50,9 +52,79 @@ func randomDisconnectedGraph(rng *rand.Rand, n, extraEdges int, maxW int64) *Gra
 	return g
 }
 
-// FuzzDijkstra cross-checks the heap Dijkstra against the Bellman-Ford
-// reference on random graphs, connected and disconnected — the
-// disconnected half pins the Inf convention for unreachable nodes.
+// checkWithin fails t unless sc holds exactly the nodes within radius
+// of the source (every reachable node when radius is negative), each at
+// its reference distance ref, in Dist, Visited and Each.
+func checkWithin(t *testing.T, sc *SearchScratch, ref []int64, radius int64) {
+	t.Helper()
+	reached := 0
+	for v, d := range ref {
+		in := d < Inf && (radius < 0 || d <= radius)
+		got, ok := sc.Dist(int32(v))
+		if ok != in || (in && got != d) {
+			t.Fatalf("radius %d: Dist(%d) = (%d,%v), want (%d,%v)", radius, v, got, ok, d, in)
+		}
+		if in {
+			reached++
+		}
+	}
+	if sc.Visited() != reached {
+		t.Fatalf("radius %d: Visited() = %d, want %d", radius, sc.Visited(), reached)
+	}
+	seen := 0
+	sc.Each(func(v int32, d int64) bool {
+		if d != ref[v] {
+			t.Fatalf("radius %d: Each(%d) = %d, want %d", radius, v, d, ref[v])
+		}
+		seen++
+		return true
+	})
+	if seen != reached {
+		t.Fatalf("radius %d: Each visited %d nodes, want %d", radius, seen, reached)
+	}
+}
+
+// checkToTargets fails t unless out[i] is the reference distance ref of
+// targets[i] (Inf when unreachable).
+func checkToTargets(t *testing.T, out []int64, targets []int32, ref []int64) {
+	t.Helper()
+	for i, tg := range targets {
+		if out[i] != ref[tg] {
+			t.Fatalf("out[%d] (target %d) = %d, want %d", i, tg, out[i], ref[tg])
+		}
+	}
+}
+
+// checkMultiSource fails t unless dist is the minimum over the
+// per-source reference distances and every reached node's owner is a
+// source achieving that minimum (owner -1 exactly where unreachable).
+func checkMultiSource(t *testing.T, dist []int64, owner []int32, per [][]int64) {
+	t.Helper()
+	for v := range dist {
+		best := Inf
+		for _, ref := range per {
+			best = min(best, ref[v])
+		}
+		if dist[v] != best {
+			t.Fatalf("multi-source dist[%d] = %d, want %d", v, dist[v], best)
+		}
+		if best == Inf {
+			if owner[v] != -1 {
+				t.Fatalf("unreachable node %d has owner %d", v, owner[v])
+			}
+		} else if owner[v] < 0 || int(owner[v]) >= len(per) || per[owner[v]][v] != best {
+			t.Fatalf("node %d: owner %d does not achieve the min distance %d", v, owner[v], best)
+		}
+	}
+}
+
+// FuzzDijkstra cross-checks every search entry point, under both
+// frontier queues, against the Bellman-Ford reference on random graphs,
+// connected and disconnected — the disconnected half pins the Inf
+// convention for unreachable nodes. The Within radius, the targets
+// (with a duplicate and, when one exists, an unreachable node) and the
+// multi-source set (with a repeated node) are drawn from the fuzzed
+// seed.
 func FuzzDijkstra(f *testing.F) {
 	f.Add(int64(1), int64(12), int64(20), int64(50), false)
 	f.Add(int64(2), int64(30), int64(0), int64(1), true)
@@ -72,41 +144,48 @@ func FuzzDijkstra(f *testing.F) {
 			g = randomGraph(rng, n, extra, maxW)
 		}
 		src := int32(rng.Intn(n))
-		got := g.Dijkstra(src)
 		want := bellmanFord(g, src)
-		if len(got) != len(want) {
-			t.Fatalf("Dijkstra returned %d distances for %d nodes", len(got), n)
+		if disconnect && !slices.Contains(want, Inf) {
+			t.Fatalf("disconnected graph reports every node reachable from %d (n=%d seed=%d)", src, n, seed)
 		}
-		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("dist[%d] = %d, want %d (n=%d src=%d disconnect=%v seed=%d)",
-					v, got[v], want[v], n, src, disconnect, seed)
-			}
+		radius := rng.Int63n(maxW*int64(n)) - 1 // -1: unbounded
+		targets := []int32{int32(rng.Intn(n)), int32(rng.Intn(n))}
+		targets = append(targets, targets[0])
+		if u := slices.Index(want, Inf); u >= 0 {
+			targets = append(targets, int32(u))
 		}
-		// Both frontier-queue implementations must agree with the
-		// reference (and each other) on every fuzzed graph.
-		for mode, label := range map[QueueMode]string{QueueHeap: "heap", QueueBucket: "bucket"} {
-			prev := SetQueueMode(mode)
-			forced := g.Dijkstra(src)
-			SetQueueMode(prev)
-			for v := range want {
-				if forced[v] != want[v] {
-					t.Fatalf("%s queue: dist[%d] = %d, want %d (n=%d src=%d maxW=%d seed=%d)",
-						label, v, forced[v], want[v], n, src, maxW, seed)
-				}
-			}
+		sources := []int32{int32(rng.Intn(n)), src, int32(rng.Intn(n))}
+		sources = append(sources, sources[0])
+		per := make([][]int64, len(sources))
+		for i, s := range sources {
+			per[i] = bellmanFord(g, s)
 		}
-		if disconnect {
-			unreachable := false
-			for _, d := range got {
-				if d >= Inf {
-					unreachable = true
-					break
-				}
+
+		ctx := context.Background()
+		for _, pin := range []queuePin{pinHeap, pinBucket} {
+			pg := pinned(g, pin)
+			got, err := pg.DijkstraCtx(ctx, src)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !unreachable {
-				t.Fatalf("disconnected graph reports every node reachable from %d (n=%d seed=%d)", src, n, seed)
+			if !slices.Equal(got, want) {
+				t.Fatalf("pin %d: Dijkstra = %v, want %v (n=%d src=%d maxW=%d seed=%d)", pin, got, want, n, src, maxW, seed)
 			}
+			dist, owner, err := pg.MultiSourceDijkstraCtx(ctx, sources)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkMultiSource(t, dist, owner, per)
+			sc := pg.NewScratch()
+			if err := pg.DijkstraWithinScratchCtx(ctx, src, radius, sc); err != nil {
+				t.Fatal(err)
+			}
+			checkWithin(t, sc, want, radius)
+			out := make([]int64, len(targets))
+			if err := pg.DijkstraToTargetsScratchCtx(ctx, src, targets, out, sc); err != nil {
+				t.Fatal(err)
+			}
+			checkToTargets(t, out, targets, want)
 		}
 	})
 }

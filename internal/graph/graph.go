@@ -1,7 +1,9 @@
 // Package graph implements the weighted-network substrate of the MCFS
-// system: a compact CSR adjacency representation, single- and
-// multi-source Dijkstra, a resumable nearest-candidate enumerator
-// (NNSearcher) used for lazy bipartite-edge materialization, and
+// system: a compact CSR adjacency representation; one Dijkstra kernel
+// behind the single-source, multi-source (network Voronoi),
+// radius-bounded and target-stopped searches, the last two on a
+// reusable SearchScratch; a resumable nearest-candidate enumerator
+// (NNSearcher) used for lazy bipartite-edge materialization; and
 // connected-component analysis.
 //
 // Node ids are int32 in [0, N). Edge weights are positive int64; the
@@ -36,6 +38,7 @@ type Graph struct {
 	directed bool
 	numEdges int   // logical edge count (undirected edges counted once)
 	maxW     int64 // largest edge weight; sizes the Dial bucket wheel
+	pin      queuePin
 }
 
 // Builder accumulates edges and produces a Graph.

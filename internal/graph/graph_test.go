@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -208,26 +209,43 @@ func TestDijkstraDisconnected(t *testing.T) {
 
 func TestDijkstraWithinRadius(t *testing.T) {
 	g := line(t, 10)
-	got := g.DijkstraWithin(0, 3)
-	if len(got) != 4 {
-		t.Fatalf("DijkstraWithin returned %d nodes, want 4: %v", len(got), got)
+	sc := g.NewScratch()
+	if err := g.DijkstraWithinScratchCtx(context.Background(), 0, 3, sc); err != nil {
+		t.Fatal(err)
 	}
-	for v, d := range got {
+	if sc.Visited() != 4 {
+		t.Fatalf("DijkstraWithinScratchCtx reached %d nodes, want 4", sc.Visited())
+	}
+	sc.Each(func(v int32, d int64) bool {
 		if d != int64(v) {
 			t.Fatalf("dist[%d] = %d", v, d)
 		}
-	}
+		return true
+	})
 	// Unbounded matches full Dijkstra.
-	all := g.DijkstraWithin(0, -1)
+	if err := g.DijkstraWithinScratchCtx(context.Background(), 0, -1, sc); err != nil {
+		t.Fatal(err)
+	}
 	full := g.Dijkstra(0)
-	for v, d := range all {
+	sc.Each(func(v int32, d int64) bool {
 		if full[v] != d {
 			t.Fatalf("unbounded within: dist[%d] = %d, want %d", v, d, full[v])
 		}
+		return true
+	})
+	if sc.Visited() != 10 {
+		t.Fatalf("unbounded within visited %d nodes", sc.Visited())
 	}
-	if len(all) != 10 {
-		t.Fatalf("unbounded within visited %d nodes", len(all))
+}
+
+// toTargets runs DijkstraToTargetsScratchCtx on a fresh scratch.
+func toTargets(t *testing.T, g *Graph, src int32, targets []int32) []int64 {
+	t.Helper()
+	out := make([]int64, len(targets))
+	if err := g.DijkstraToTargetsScratchCtx(context.Background(), src, targets, out, g.NewScratch()); err != nil {
+		t.Fatal(err)
 	}
+	return out
 }
 
 func TestDijkstraToTargets(t *testing.T) {
@@ -235,10 +253,10 @@ func TestDijkstraToTargets(t *testing.T) {
 	g := randomGraph(rng, 50, 80, 20)
 	full := g.Dijkstra(3)
 	targets := []int32{7, 11, 49, 3}
-	got := g.DijkstraToTargets(3, targets)
-	for _, tg := range targets {
-		if got[tg] != full[tg] {
-			t.Fatalf("target %d: got %d, want %d", tg, got[tg], full[tg])
+	got := toTargets(t, g, 3, targets)
+	for i, tg := range targets {
+		if got[i] != full[tg] {
+			t.Fatalf("target %d: got %d, want %d", tg, got[i], full[tg])
 		}
 	}
 }
@@ -247,17 +265,27 @@ func TestDijkstraToTargetsUnreachable(t *testing.T) {
 	b := NewBuilder(3, false)
 	b.AddEdge(0, 1, 1)
 	g, _ := b.Build()
-	got := g.DijkstraToTargets(0, []int32{1, 2})
-	if got[1] != 1 || got[2] != Inf {
+	got := toTargets(t, g, 0, []int32{1, 2})
+	if got[0] != 1 || got[1] != Inf {
 		t.Fatalf("got %v", got)
 	}
+}
+
+// multiSource runs MultiSourceDijkstraCtx without cancellation.
+func multiSource(t *testing.T, g *Graph, sources []int32) ([]int64, []int32) {
+	t.Helper()
+	dist, owner, err := g.MultiSourceDijkstraCtx(context.Background(), sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dist, owner
 }
 
 func TestMultiSourceDijkstra(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := randomGraph(rng, 80, 120, 30)
 	sources := []int32{5, 40, 77}
-	dist, owner := g.MultiSourceDijkstra(sources)
+	dist, owner := multiSource(t, g, sources)
 	// Reference: min over per-source Dijkstras.
 	per := make([][]int64, len(sources))
 	for i, s := range sources {
@@ -285,7 +313,7 @@ func TestMultiSourceDijkstra(t *testing.T) {
 
 func TestMultiSourceDuplicateSources(t *testing.T) {
 	g := line(t, 4)
-	dist, owner := g.MultiSourceDijkstra([]int32{2, 2})
+	dist, owner := multiSource(t, g, []int32{2, 2})
 	if dist[2] != 0 || owner[2] != 0 {
 		t.Fatalf("duplicate source: dist=%d owner=%d", dist[2], owner[2])
 	}

@@ -20,9 +20,10 @@ func (g *Graph) MultiSourceTwoNearest(sources []int32) (owner [2][]int32, dist [
 		}
 	}
 	// Label-setting search over (node, source) pairs: each node accepts
-	// up to two labels from distinct sources. Heap items are encoded as
-	// node*2+slotHint; we use a simple FIFO-of-heap approach with one
-	// entry per (node, candidate) pushed lazily.
+	// up to two labels from distinct sources. The heap holds one label
+	// per relaxation, pushed without decrease-key; labels popped for a
+	// node that already holds two, or a second one from the source that
+	// filled its first slot, are discarded.
 	type label struct {
 		node int32
 		src  int32

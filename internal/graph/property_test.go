@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -117,7 +118,10 @@ func TestMultiSourceLowerBound(t *testing.T) {
 		for i := range sources {
 			sources[i] = int32(rng.Intn(n))
 		}
-		dist, _ := g.MultiSourceDijkstra(sources)
+		dist, _, err := g.MultiSourceDijkstraCtx(context.Background(), sources)
+		if err != nil {
+			return false
+		}
 		pick := sources[rng.Intn(ns)]
 		single := g.Dijkstra(pick)
 		for v := 0; v < n; v++ {

@@ -1,44 +1,19 @@
 package graph
 
-import (
-	"sync/atomic"
+import "mcfs/internal/pq"
 
-	"mcfs/internal/pq"
-)
-
-// QueueMode selects the frontier priority queue the graph searches use.
-// The default, QueueAuto, applies a per-graph heuristic; the explicit
-// modes exist so benchmarks and the determinism cross-checks can force
-// either implementation. All modes produce byte-identical search
-// results — the pq package pins equal-key pop order across its
-// implementations (see pq.Monotone).
-type QueueMode int32
+// queuePin overrides the frontier-queue choice of one Graph value. Only
+// in-package tests set it, on a shallow copy of a built graph (the CSR
+// arrays are immutable, so the copy shares them safely), to run every
+// search under both queue implementations. The zero value leaves the
+// choice to bucketOK.
+type queuePin uint8
 
 const (
-	// QueueAuto picks a Dial bucket queue when the graph's weight range
-	// makes the wheel affordable, and a binary heap otherwise.
-	QueueAuto QueueMode = iota
-	// QueueHeap forces the binary heaps (DenseHeap / SparseHeap).
-	QueueHeap
-	// QueueBucket forces the Dial bucket queue regardless of weight
-	// range (wide ranges fall back to its overflow path).
-	QueueBucket
+	pinNone queuePin = iota
+	pinHeap
+	pinBucket
 )
-
-// queueMode is the process-wide override; atomic so benchmarks can flip
-// it while tests run in parallel elsewhere.
-var queueMode atomic.Int32
-
-// SetQueueMode installs a process-wide frontier-queue override and
-// returns the previous mode. Intended for benchmarks (cmd/mcfsperf
-// -queue) and cross-implementation tests; production callers leave the
-// default QueueAuto.
-func SetQueueMode(m QueueMode) QueueMode {
-	return QueueMode(queueMode.Swap(int32(m)))
-}
-
-// CurrentQueueMode reports the active override.
-func CurrentQueueMode() QueueMode { return QueueMode(queueMode.Load()) }
 
 // maxWheel caps the Dial wheel size: beyond ~1M buckets the wheel's
 // memory and cache footprint outweighs the log factor it saves.
@@ -56,36 +31,13 @@ func (g *Graph) bucketOK() bool {
 	return nb <= int64(4*g.N())+1024 && nb <= maxWheel
 }
 
-// newDenseQueue returns the frontier queue for whole-graph searches
-// (dense distance arrays): a Dial bucket queue when the heuristic or
-// override selects it, else a DenseHeap over [0, N).
+// newDenseQueue returns the frontier queue of a SearchScratch: a Dial
+// bucket queue when bucketOK holds, else a DenseHeap over [0, N).
 func (g *Graph) newDenseQueue() pq.Monotone {
-	switch CurrentQueueMode() {
-	case QueueHeap:
-		return pq.NewDense(g.N())
-	case QueueBucket:
-		return pq.NewBucket(g.maxW)
-	}
-	if g.bucketOK() {
+	if g.pin == pinBucket || g.pin == pinNone && g.bucketOK() {
 		return pq.NewBucket(g.maxW)
 	}
 	return pq.NewDense(g.N())
-}
-
-// newSparseQueue returns the frontier queue for localized searches
-// (sparse distance maps): the bucket queue needs no per-id state so the
-// same heuristic applies, with SparseHeap as the fallback.
-func (g *Graph) newSparseQueue() pq.Monotone {
-	switch CurrentQueueMode() {
-	case QueueHeap:
-		return pq.NewSparse()
-	case QueueBucket:
-		return pq.NewBucket(g.maxW)
-	}
-	if g.bucketOK() {
-		return pq.NewBucket(g.maxW)
-	}
-	return pq.NewSparse()
 }
 
 // newIncrementalQueue returns the frontier queue for incremental
@@ -93,11 +45,10 @@ func (g *Graph) newSparseQueue() pq.Monotone {
 // (NNSearcher). The bucket queue loses there even when bucketOK holds:
 // wheel setup and empty-bucket scanning cost O(maxW) per searcher
 // regardless of how few nodes it settles, and a matcher creates one
-// searcher per customer — so QueueAuto stays on the sparse heap and the
-// bucket applies only when forced (the cross-implementation tests rely
-// on QueueBucket still reaching this path).
+// searcher per customer — so NNSearcher stays on the sparse heap unless
+// a test pins the bucket queue.
 func (g *Graph) newIncrementalQueue() pq.Monotone {
-	if CurrentQueueMode() == QueueBucket {
+	if g.pin == pinBucket {
 		return pq.NewBucket(g.maxW)
 	}
 	return pq.NewSparse()

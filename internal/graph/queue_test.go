@@ -3,29 +3,57 @@ package graph
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"mcfs/internal/obs"
 )
 
-// withQueueMode runs fn under a forced queue mode, restoring the
-// previous mode afterwards.
-func withQueueMode(m QueueMode, fn func()) {
-	prev := SetQueueMode(m)
-	defer SetQueueMode(prev)
-	fn()
+// pinned returns a shallow copy of g whose searches use the given
+// frontier queue regardless of bucketOK. The copy shares g's immutable
+// CSR arrays.
+func pinned(g *Graph, pin queuePin) *Graph {
+	c := *g
+	c.pin = pin
+	return &c
 }
 
-// TestQueueModesByteIdentical is the determinism acceptance check for
+// scratchRun is the observable result of one scratch search: every
+// node's Dist and the Each discovery order.
+type scratchRun struct {
+	dist  []int64
+	order []int32
+}
+
+func snapshot(sc *SearchScratch, n int) scratchRun {
+	r := scratchRun{dist: make([]int64, n)}
+	for v := range r.dist {
+		r.dist[v], _ = sc.Dist(int32(v))
+	}
+	sc.Each(func(v int32, _ int64) bool {
+		r.order = append(r.order, v)
+		return true
+	})
+	return r
+}
+
+// TestQueuePinsByteIdentical is the determinism acceptance check for
 // the queue swap: single-source distances, multi-source distances AND
-// owners (tie-sensitive), and the full NNSearcher enumeration order
-// must be byte-identical under the heap and the bucket queue.
-func TestQueueModesByteIdentical(t *testing.T) {
+// owners (tie-sensitive), the scratch searches' distances and Each
+// discovery order (which BRNN iterates), and the full NNSearcher
+// enumeration order must be byte-identical under the heap and the
+// bucket queue.
+func TestQueuePinsByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	ctx := context.Background()
 	for trial := 0; trial < 20; trial++ {
 		n := 10 + rng.Intn(60)
 		maxW := int64(1 + rng.Intn(8)) // small spread: many equal distances
 		g := randomGraph(rng, n, 3*n, maxW)
 		src := int32(rng.Intn(n))
 		sources := []int32{src, int32(rng.Intn(n)), int32(rng.Intn(n))}
+		radius := int64(rng.Intn(3 * int(maxW)))
+		targets := []int32{int32(rng.Intn(n)), int32(rng.Intn(n)), int32(rng.Intn(n))}
 		mask := make([]bool, n)
 		for v := range mask {
 			mask[v] = rng.Intn(3) == 0
@@ -33,16 +61,32 @@ func TestQueueModesByteIdentical(t *testing.T) {
 		mask[rng.Intn(n)] = true
 
 		type result struct {
-			dist    []int64
-			msDist  []int64
-			msOwner []int32
-			nnNodes []int32
-			nnDists []int64
+			dist      []int64
+			msDist    []int64
+			msOwner   []int32
+			within    scratchRun
+			toTargets scratchRun
+			out       []int64
+			nnNodes   []int32
+			nnDists   []int64
 		}
-		runAll := func() result {
+		runAll := func(g *Graph) result {
 			var r result
 			r.dist = g.Dijkstra(src)
-			r.msDist, r.msOwner = g.MultiSourceDijkstra(sources)
+			var err error
+			if r.msDist, r.msOwner, err = g.MultiSourceDijkstraCtx(ctx, sources); err != nil {
+				t.Fatal(err)
+			}
+			sc := g.NewScratch()
+			if err := g.DijkstraWithinScratchCtx(ctx, src, radius, sc); err != nil {
+				t.Fatal(err)
+			}
+			r.within = snapshot(sc, n)
+			r.out = make([]int64, len(targets))
+			if err := g.DijkstraToTargetsScratchCtx(ctx, src, targets, r.out, sc); err != nil {
+				t.Fatal(err)
+			}
+			r.toTargets = snapshot(sc, n)
 			s := NewNNSearcher(g, src, mask)
 			for {
 				node, d, ok := s.Next()
@@ -54,9 +98,8 @@ func TestQueueModesByteIdentical(t *testing.T) {
 			}
 			return r
 		}
-		var heap, bucket result
-		withQueueMode(QueueHeap, func() { heap = runAll() })
-		withQueueMode(QueueBucket, func() { bucket = runAll() })
+		heap := runAll(pinned(g, pinHeap))
+		bucket := runAll(pinned(g, pinBucket))
 
 		for v := range heap.dist {
 			if heap.dist[v] != bucket.dist[v] {
@@ -66,6 +109,12 @@ func TestQueueModesByteIdentical(t *testing.T) {
 				t.Fatalf("trial %d: multi-source node %d heap=(%d,%d) bucket=(%d,%d)",
 					trial, v, heap.msDist[v], heap.msOwner[v], bucket.msDist[v], bucket.msOwner[v])
 			}
+		}
+		if !reflect.DeepEqual(heap.within, bucket.within) {
+			t.Fatalf("trial %d: Within heap=%v bucket=%v", trial, heap.within, bucket.within)
+		}
+		if !reflect.DeepEqual(heap.toTargets, bucket.toTargets) || !reflect.DeepEqual(heap.out, bucket.out) {
+			t.Fatalf("trial %d: ToTargets heap=%v %v bucket=%v %v", trial, heap.out, heap.toTargets, bucket.out, bucket.toTargets)
 		}
 		if len(heap.nnNodes) != len(bucket.nnNodes) {
 			t.Fatalf("trial %d: NN enumerated %d vs %d candidates", trial, len(heap.nnNodes), len(bucket.nnNodes))
@@ -101,9 +150,9 @@ func TestBucketHeuristic(t *testing.T) {
 	}
 }
 
-// TestScratchWithinMatchesMap cross-checks the scratch Within variant
-// against the map variant on random graphs, reusing one scratch across
-// trials to exercise epoch invalidation.
+// TestScratchWithinMatchesMap cross-checks the scratch Within search
+// against the Bellman-Ford oracle on random graphs, reusing one scratch
+// across trials to exercise epoch invalidation.
 func TestScratchWithinMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ctx := context.Background()
@@ -112,37 +161,16 @@ func TestScratchWithinMatchesMap(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		src := int32(rng.Intn(g.N()))
 		radius := int64(rng.Intn(30)) - 1 // includes -1 = unbounded
-		want := g.DijkstraWithin(src, radius)
 		if err := g.DijkstraWithinScratchCtx(ctx, src, radius, sc); err != nil {
 			t.Fatal(err)
 		}
-		if sc.Visited() != len(want) {
-			t.Fatalf("trial %d: scratch reached %d nodes, map %d (src=%d radius=%d)",
-				trial, sc.Visited(), len(want), src, radius)
-		}
-		for v, d := range want {
-			got, ok := sc.Dist(v)
-			if !ok || got != d {
-				t.Fatalf("trial %d: Dist(%d) = (%d,%v), want (%d,true)", trial, v, got, ok, d)
-			}
-		}
-		seen := 0
-		sc.Each(func(v int32, d int64) bool {
-			if want[v] != d {
-				t.Fatalf("trial %d: Each(%d) = %d, want %d", trial, v, d, want[v])
-			}
-			seen++
-			return true
-		})
-		if seen != len(want) {
-			t.Fatalf("trial %d: Each visited %d nodes, want %d", trial, seen, len(want))
-		}
+		checkWithin(t, sc, bellmanFord(g, src), radius)
 	}
 }
 
 // TestScratchToTargetsMatchesMap cross-checks the scratch ToTargets
-// variant (including unreachable targets and duplicates) against the
-// map variant, reusing one scratch.
+// search (including unreachable targets and duplicates) against the
+// Bellman-Ford oracle, reusing one scratch.
 func TestScratchToTargetsMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	ctx := context.Background()
@@ -157,21 +185,16 @@ func TestScratchToTargetsMatchesMap(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			targets = append(targets, targets[0]) // duplicate target
 		}
-		want := g.DijkstraToTargets(src, targets)
 		out := make([]int64, len(targets))
 		if err := g.DijkstraToTargetsScratchCtx(ctx, src, targets, out, sc); err != nil {
 			t.Fatal(err)
 		}
-		for i, tg := range targets {
-			if out[i] != want[tg] {
-				t.Fatalf("trial %d: out[%d] (target %d) = %d, want %d", trial, i, tg, out[i], want[tg])
-			}
-		}
+		checkToTargets(t, out, targets, bellmanFord(g, src))
 	}
 }
 
-// TestScratchCancellation checks both scratch variants surface
-// ctx.Err() on a cancelled context, like their map counterparts.
+// TestScratchCancellation checks both scratch searches surface
+// ctx.Err() on a cancelled context.
 func TestScratchCancellation(t *testing.T) {
 	g := longLine(t, 3*checkEvery)
 	sc := g.NewScratch()
@@ -181,5 +204,110 @@ func TestScratchCancellation(t *testing.T) {
 	out := make([]int64, 1)
 	if err := g.DijkstraToTargetsScratchCtx(cancelledCtx(), 0, []int32{int32(g.N() - 1)}, out, sc); err == nil {
 		t.Fatal("DijkstraToTargetsScratchCtx ignored a cancelled context")
+	}
+}
+
+// TestScratchReuseResetsLabels checks that a reused scratch carries no
+// distance label or target mark over from its previous search, whether
+// that search completed or was cancelled midway: searches on the reused
+// scratch must match the same searches on a fresh one.
+func TestScratchReuseResetsLabels(t *testing.T) {
+	g := longLine(t, 3*checkEvery)
+	n := int32(g.N())
+	ctx := context.Background()
+	within := func(sc *SearchScratch, src int32, radius int64) scratchRun {
+		if err := g.DijkstraWithinScratchCtx(ctx, src, radius, sc); err != nil {
+			t.Fatal(err)
+		}
+		return snapshot(sc, int(n))
+	}
+	toTargets := func(sc *SearchScratch, src int32, targets []int32) []int64 {
+		out := make([]int64, len(targets))
+		if err := g.DijkstraToTargetsScratchCtx(ctx, src, targets, out, sc); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	sc := g.NewScratch()
+	within(sc, 0, -1) // labels every node
+	if got, want := within(sc, n/2, 10), within(g.NewScratch(), n/2, 10); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Within after a completed search = %v, want %v", got, want)
+	}
+	// The cancelled search stops at its first context poll, leaving
+	// about checkEvery nodes labelled and both targets marked.
+	if err := g.DijkstraToTargetsScratchCtx(cancelledCtx(), 0, []int32{n - 1, 5}, make([]int64, 2), sc); err == nil {
+		t.Fatal("DijkstraToTargetsScratchCtx ignored a cancelled context")
+	}
+	if got, want := within(sc, n/2, 10), within(g.NewScratch(), n/2, 10); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Within after a cancelled search = %v, want %v", got, want)
+	}
+	targets := []int32{n/2 + 3, n/2 - 7, n/2 + 3}
+	if got, want := toTargets(sc, n/2, targets), toTargets(g.NewScratch(), n/2, targets); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ToTargets after a cancelled search = %v, want %v", got, want)
+	}
+	for v, marked := range sc.want {
+		if marked {
+			t.Fatalf("node %d still marked as a target", v)
+		}
+	}
+}
+
+// TestSearchWorkCounters pins the frontier pops and successful
+// relaxations each search entry point reports to an obs recorder on a
+// fixed graph, under both queues. The pinned values were taken from
+// per-entry-point loops written independently of the shared kernel, so
+// a mismatch means the kernel does different work, not just different
+// bookkeeping. The bucket queue pops superseded entries too, hence its
+// larger pop counts.
+func TestSearchWorkCounters(t *testing.T) {
+	base := randomDisconnectedGraph(rand.New(rand.NewSource(21)), 200, 300, 12)
+	type counts struct{ pops, relax int64 }
+	cases := []struct {
+		name         string
+		run          func(ctx context.Context, g *Graph, sc *SearchScratch) error
+		heap, bucket counts
+	}{
+		{"Dijkstra", func(ctx context.Context, g *Graph, _ *SearchScratch) error {
+			_, err := g.DijkstraCtx(ctx, 7)
+			return err
+		}, counts{120, 141}, counts{142, 141}},
+		{"MultiSourceDijkstra", func(ctx context.Context, g *Graph, _ *SearchScratch) error {
+			_, _, err := g.MultiSourceDijkstraCtx(ctx, []int32{3, 150, 3, 77})
+			return err
+		}, counts{200, 239}, counts{242, 239}},
+		{"Within", func(ctx context.Context, g *Graph, sc *SearchScratch) error {
+			return g.DijkstraWithinScratchCtx(ctx, 7, 10, sc)
+		}, counts{18, 18}, counts{19, 18}},
+		{"WithinUnbounded", func(ctx context.Context, g *Graph, sc *SearchScratch) error {
+			return g.DijkstraWithinScratchCtx(ctx, 150, -1, sc)
+		}, counts{80, 92}, counts{93, 92}},
+		{"ToTargets", func(ctx context.Context, g *Graph, sc *SearchScratch) error {
+			return g.DijkstraToTargetsScratchCtx(ctx, 7, []int32{11, 4, 11, 89}, make([]int64, 4), sc)
+		}, counts{12, 43}, counts{12, 43}},
+		{"ToTargetsUnreachable", func(ctx context.Context, g *Graph, sc *SearchScratch) error {
+			return g.DijkstraToTargetsScratchCtx(ctx, 7, []int32{12, 199, 0, 9}, make([]int64, 4), sc)
+		}, counts{120, 141}, counts{142, 141}},
+	}
+	for _, q := range []struct {
+		name string
+		pin  queuePin
+	}{{"heap", pinHeap}, {"bucket", pinBucket}} {
+		g := pinned(base, q.pin)
+		sc := g.NewScratch() // reused, as the scratch callers do
+		for _, c := range cases {
+			rec := obs.New()
+			if err := c.run(obs.WithRecorder(context.Background(), rec), g, sc); err != nil {
+				t.Fatal(err)
+			}
+			got := counts{rec.Counter(obs.DijkstraHeapPops), rec.Counter(obs.DijkstraRelaxations)}
+			want := c.heap
+			if q.pin == pinBucket {
+				want = c.bucket
+			}
+			if got != want {
+				t.Errorf("%s/%s: (pops, relaxations) = %v, want %v", q.name, c.name, got, want)
+			}
+		}
 	}
 }

@@ -3,72 +3,65 @@ package graph
 import (
 	"context"
 
-	"mcfs/internal/obs"
 	"mcfs/internal/pq"
 )
 
-// SearchScratch is reusable state for the localized searches
-// (DijkstraWithinScratchCtx, DijkstraToTargetsScratchCtx) that would
-// otherwise allocate a fresh map and frontier queue per call — the
-// dominant allocation cost in callers that issue thousands of bounded
-// searches per solve (the BRNN attraction loop, objective
-// recomputation). It follows the ALT shared-static/private-scratch
-// idiom (alt.go): dense per-node arrays validated by an epoch stamp, so
-// between searches the reset cost is O(nodes touched), not O(N).
+// SearchScratch is the state of one graph search: dense per-node
+// distance labels, the discovery order, and the frontier queue. Every
+// Dijkstra in this package except NNSearcher runs on one (see search).
+// Callers that issue thousands of bounded searches per solve (the BRNN
+// attraction loop, objective recomputation, the k-source assignment
+// lists) keep one and pass it to DijkstraWithinScratchCtx or
+// DijkstraToTargetsScratchCtx: between searches only the labels of the
+// nodes the last search touched are reset, so a search costs O(nodes
+// touched), not O(N), and allocates nothing.
 //
 // A scratch is bound to the graph that created it and must not be used
-// on another graph, nor concurrently; clone one per goroutine instead.
+// on another graph, nor concurrently; create one per goroutine instead.
 // The results of the last search stay readable (Dist, Each, Visited)
 // until the next search reuses the scratch.
 type SearchScratch struct {
-	g        *Graph
-	dist     []int64
-	stamp    []int32 // stamp[v] == epoch ⇔ dist[v] is live for this search
-	done     []int32 // done[v] == epoch ⇔ v settled (popped final)
-	want     []int32 // want[v] == epoch ⇔ v is an unsettled search target
-	epoch    int32
-	visited  []int32 // touched nodes in discovery order (deterministic)
+	dist     []int64 // Inf except at the nodes in visited
+	want     []bool  // targets of the running DijkstraToTargetsScratchCtx
+	visited  []int32 // labelled nodes in discovery order (deterministic)
 	frontier pq.Monotone
 }
 
 // NewScratch returns a reusable scratch for searches on g. The frontier
-// queue implementation is fixed at creation time by the current queue
-// mode and g's weight range (see SetQueueMode).
+// queue implementation is fixed at creation time by g's weight range
+// (see bucketOK).
 func (g *Graph) NewScratch() *SearchScratch {
-	n := g.N()
-	return &SearchScratch{
-		g:        g,
-		dist:     make([]int64, n),
-		stamp:    make([]int32, n),
-		done:     make([]int32, n),
-		want:     make([]int32, n),
-		frontier: g.newDenseQueue(),
-	}
+	sc := g.newSearch()
+	sc.want = make([]bool, len(sc.dist))
+	sc.visited = make([]int32, 0, len(sc.dist))
+	return sc
 }
 
-// begin starts a new search epoch, invalidating all previous labels in
-// O(touched) time.
+// newSearch returns the state of one whole-graph search whose result is
+// sc.dist itself: every label Inf, no target marks, and a nil visited
+// list, which tells search not to record the discovery order.
+func (g *Graph) newSearch() *SearchScratch {
+	sc := &SearchScratch{dist: make([]int64, g.N()), frontier: g.newDenseQueue()}
+	for v := range sc.dist {
+		sc.dist[v] = Inf
+	}
+	return sc
+}
+
+// begin resets the labels the last search set, in O(touched) time. A
+// cancelled search leaves the scratch in the same resettable state.
 func (sc *SearchScratch) begin() {
 	sc.frontier.Reset()
-	sc.visited = sc.visited[:0]
-	sc.epoch++
-	if sc.epoch <= 0 { // int32 wrap after ~2B searches: hard reset
-		sc.epoch = 1
-		for i := range sc.stamp {
-			sc.stamp[i] = 0
-			sc.done[i] = 0
-			sc.want[i] = 0
-		}
+	for _, v := range sc.visited {
+		sc.dist[v] = Inf
 	}
+	sc.visited = sc.visited[:0]
 }
 
 // Dist returns the last search's distance to v and whether v was
 // reached (relaxed within the search's bounds).
 func (sc *SearchScratch) Dist(v int32) (int64, bool) {
-	if sc.stamp[v] != sc.epoch {
-		return Inf, false
-	}
-	return sc.dist[v], true
+	return sc.dist[v], sc.dist[v] < Inf
 }
 
 // Visited returns the number of nodes the last search reached.
@@ -84,111 +77,46 @@ func (sc *SearchScratch) Each(fn func(v int32, d int64) bool) {
 	}
 }
 
-// DijkstraWithinScratchCtx is DijkstraWithinCtx storing its result in sc
-// instead of a freshly allocated map: after a nil-error return,
-// sc.Dist/sc.Each expose the distances from src to every node within
-// radius (negative radius = unbounded). The result set and values are
-// identical to DijkstraWithinCtx's map; only the container differs. On
-// cancellation it returns ctx.Err() and sc holds a partial search that
-// must not be read.
+// DijkstraWithinScratchCtx computes shortest-path distances from src to
+// every node within radius (inclusive; a negative radius means
+// unbounded) into sc: after a nil-error return, sc.Dist/sc.Each expose
+// them. It is the workhorse of the BRNN baseline, whose search radius
+// shrinks as facilities are placed. On cancellation (ctx is polled
+// every checkEvery heap pops) it returns ctx.Err() and sc holds a
+// partial search that must not be read.
 func (g *Graph) DijkstraWithinScratchCtx(ctx context.Context, src int32, radius int64, sc *SearchScratch) error {
+	if radius < 0 {
+		radius = Inf
+	}
 	sc.begin()
-	sc.dist[src], sc.stamp[src] = 0, sc.epoch
-	sc.visited = append(sc.visited, src)
-	h := sc.frontier
-	h.Push(src, 0)
-	pops, relax := 0, 0
-	if rec := obs.From(ctx); rec != nil {
-		defer func() { flushSearchCounters(rec, h, int64(pops), int64(relax)) }()
-	}
-	for h.Len() > 0 {
-		if pops++; pops&(checkEvery-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		v, d := h.PopMin()
-		if d > sc.dist[v] {
-			continue
-		}
-		for i := g.off[v]; i < g.off[v+1]; i++ {
-			u, nd := g.dst[i], d+g.w[i]
-			if radius >= 0 && nd > radius {
-				continue
-			}
-			if sc.stamp[u] != sc.epoch {
-				sc.stamp[u] = sc.epoch
-				sc.dist[u] = nd
-				sc.visited = append(sc.visited, u)
-				relax++
-				h.Push(u, nd)
-			} else if nd < sc.dist[u] {
-				sc.dist[u] = nd
-				relax++
-				h.DecreaseKey(u, nd)
-			}
-		}
-	}
-	return nil
+	return g.search(ctx, sc, []int32{src}, nil, radius, -1)
 }
 
-// DijkstraToTargetsScratchCtx is DijkstraToTargetsCtx without the per-
-// call map allocations: it fills out[i] with the shortest-path distance
-// from src to targets[i] (Inf when unreachable) and stops as soon as
-// every distinct target is settled. len(out) must equal len(targets).
-// On cancellation it returns ctx.Err() and out must not be read.
+// DijkstraToTargetsScratchCtx fills out[i] with the shortest-path
+// distance from src to targets[i] (Inf when unreachable), stopping as
+// soon as every distinct target is settled. len(out) must equal
+// len(targets). On cancellation (ctx is polled every checkEvery heap
+// pops) it returns ctx.Err() and out must not be read.
 func (g *Graph) DijkstraToTargetsScratchCtx(ctx context.Context, src int32, targets []int32, out []int64, sc *SearchScratch) error {
 	sc.begin()
 	remaining := 0
 	for _, t := range targets {
-		if sc.want[t] != sc.epoch {
-			sc.want[t] = sc.epoch
+		if !sc.want[t] {
+			sc.want[t] = true
 			remaining++
 		}
 	}
-	sc.dist[src], sc.stamp[src] = 0, sc.epoch
-	sc.visited = append(sc.visited, src)
-	h := sc.frontier
-	h.Push(src, 0)
-	pops, relax := 0, 0
-	if rec := obs.From(ctx); rec != nil {
-		defer func() { flushSearchCounters(rec, h, int64(pops), int64(relax)) }()
+	err := g.search(ctx, sc, []int32{src}, nil, Inf, remaining)
+	for _, t := range targets {
+		sc.want[t] = false
 	}
-	for h.Len() > 0 && remaining > 0 {
-		if pops++; pops&(checkEvery-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		v, d := h.PopMin()
-		if d > sc.dist[v] || sc.done[v] == sc.epoch {
-			continue
-		}
-		sc.done[v] = sc.epoch
-		if sc.want[v] == sc.epoch {
-			remaining--
-		}
-		for i := g.off[v]; i < g.off[v+1]; i++ {
-			u, nd := g.dst[i], d+g.w[i]
-			if sc.stamp[u] != sc.epoch {
-				sc.stamp[u] = sc.epoch
-				sc.dist[u] = nd
-				sc.visited = append(sc.visited, u)
-				relax++
-				h.Push(u, nd)
-			} else if nd < sc.dist[u] {
-				sc.dist[u] = nd
-				relax++
-				h.DecreaseKey(u, nd)
-			}
-		}
+	if err != nil {
+		return err
 	}
+	// The search ran until every target settled or the frontier emptied,
+	// so a labelled target holds its final distance.
 	for i, t := range targets {
-		if sc.done[t] == sc.epoch {
-			out[i] = sc.dist[t]
-		} else {
-			out[i] = Inf
-		}
+		out[i] = sc.dist[t]
 	}
 	return nil
 }

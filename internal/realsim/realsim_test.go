@@ -1,6 +1,7 @@
 package realsim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -94,7 +95,10 @@ func TestCoworkingCustomersFollowOccupancy(t *testing.T) {
 	for i, v := range sc.Venues {
 		nodes[i] = v.Node
 	}
-	dist, _ := g.MultiSourceDijkstra(nodes)
+	dist, _, err := g.MultiSourceDijkstraCtx(context.Background(), nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var custSum, allSum float64
 	reachable := 0
 	for _, c := range sc.Customers {

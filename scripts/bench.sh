@@ -1,6 +1,6 @@
 #!/bin/sh
 # Perf-trajectory runner (DESIGN.md §11): measures the hot-path suite
-# (Dijkstra variants, NNSearcher, FindPair, AssignToSelection, end-to-end
+# (Dijkstra searches, NNSearcher, FindPair, AssignToSelection, end-to-end
 # WMA) on the city presets and writes a schema-versioned BENCH_<stamp>.json.
 #
 # Usage:
@@ -8,9 +8,7 @@
 #
 # With no arguments the file is written to results/BENCH_<stamp>.json.
 # Useful flags to pass through: -quick (reduced CI configuration),
-# -cities aalborg, -queue heap|bucket (force a frontier queue, recorded
-# as the file's variant), -seed N. Compare two files with
-# scripts/benchcmp.sh.
+# -cities aalborg, -seed N. Compare two files with scripts/benchcmp.sh.
 set -eu
 cd "$(dirname "$0")/.."
 
