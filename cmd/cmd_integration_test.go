@@ -604,7 +604,7 @@ func TestCLITrace(t *testing.T) {
 // scratch module-shaped tree at the path each path-scoped rule expects.
 // path names the file the diagnostic must point at; files carries the
 // whole scratch tree (the shared-instance-mutation seed needs a go.mod
-// and a sibling package so the typed loader can resolve the instance
+// and a sibling package so the loader can resolve the instance
 // type).
 var lintSeeds = []struct {
 	rule  string
@@ -674,16 +674,16 @@ func TestLintSeededViolations(t *testing.T) {
 	}
 }
 
-// TestLintTypedFlagGate: the typed-only rules are silent with
-// -typed=false — the escape hatch trades their findings for a load that
-// never type-checks.
-func TestLintTypedFlagGate(t *testing.T) {
-	seed := lintSeeds[len(lintSeeds)-1]
-	if seed.rule != "shared-instance-mutation" {
-		t.Fatal("seed table changed; update the index")
-	}
+// TestLintTypeErrorTree: a tree that does not type-check is still
+// linted. The type error is echoed to stderr, and a violation in a
+// well-typed sibling package still fails the gate.
+func TestLintTypeErrorTree(t *testing.T) {
 	root := t.TempDir()
-	for rel, src := range seed.files {
+	files := map[string]string{
+		"internal/broken/broken.go": "package broken\n\nfunc f() int { return undefinedThing }\n",
+		"internal/core/seed.go":     "package core\n\nimport \"time\"\n\nfunc now() time.Time { return time.Now() }\n",
+	}
+	for rel, src := range files {
 		full := filepath.Join(root, filepath.FromSlash(rel))
 		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
 			t.Fatal(err)
@@ -692,9 +692,19 @@ func TestLintTypedFlagGate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out := run(t, "mcfslint", "-C", root, "-typed=false", "./...")
-	if strings.Contains(out, "shared-instance-mutation") {
-		t.Fatalf("typed-only rule fired under -typed=false:\n%s", out)
+	var stdout, stderr strings.Builder
+	cmd := exec.Command(filepath.Join(binDir, "mcfslint"), "-C", root, "-nocache", "./...")
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("mcfslint: %v, want exit 1\nstdout:\n%s\nstderr:\n%s", err, stdout.String(), stderr.String())
+	}
+	diag := regexp.MustCompile(`(?m)^internal/core/seed\.go:\d+: determinism: .+$`)
+	if !diag.MatchString(stdout.String()) {
+		t.Fatalf("no determinism diagnostic in file:line: rule: message form:\n%s", stdout.String())
+	}
+	if !strings.Contains(stderr.String(), "mcfslint: type error") || !strings.Contains(stderr.String(), "undefinedThing") {
+		t.Fatalf("type error not echoed on stderr:\n%s", stderr.String())
 	}
 }
 

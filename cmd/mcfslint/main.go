@@ -6,16 +6,14 @@
 //	mcfslint ./...
 //	mcfslint -json ./...          # machine-readable findings
 //	mcfslint -rules closecheck ./cmd/...
-//	mcfslint -typed=false ./...   # syntactic-only escape hatch
 //	mcfslint -list                # print the rule catalogue
 //
-// By default the tree is type-checked (stdlib go/types; in-module
-// imports resolved from source, the standard library from GOROOT/src)
-// and rules use resolved objects and static types. -typed=false skips
-// type-checking and runs the original syntactic heuristics — faster,
-// and the only mode that works on a tree that doesn't type-check.
-// Typed-only rules (ctx-propagation, shared-instance-mutation) are
-// silent in that mode.
+// The tree is type-checked (stdlib go/types; in-module imports resolved
+// from source, the standard library from GOROOT/src) and rules use
+// resolved objects and static types. The check is best-effort: type
+// errors are echoed to stderr and the rules still run on whatever the
+// checker could resolve, so a tree that doesn't type-check is linted
+// too.
 //
 // Findings print one per line as "file:line: rule: message" on stdout;
 // a summary with the analyzer's own runtime goes to stderr, followed
@@ -49,7 +47,6 @@ func main() {
 		rulesFlag = flag.String("rules", "", "comma-separated subset of rules to run (default: all)")
 		chdir     = flag.String("C", ".", "module root to resolve package patterns against")
 		list      = flag.Bool("list", false, "list the rules and exit")
-		typed     = flag.Bool("typed", true, "type-check the tree so rules can use go/types info")
 		timing    = flag.Bool("timing", false, "print per-rule wall-clock timings to stderr")
 		nocache   = flag.Bool("nocache", false, "skip the result cache and re-analyze from scratch")
 	)
@@ -80,10 +77,6 @@ func main() {
 	}
 
 	start := time.Now()
-	mode := "typed"
-	if !*typed {
-		mode = "syntactic"
-	}
 
 	// The result cache replays an unchanged tree without loading or
 	// analyzing anything. The key covers every input that can change
@@ -103,7 +96,6 @@ func main() {
 				key, err := lint.CacheKey(*chdir,
 					"exe "+exe,
 					"go "+runtime.Version(),
-					"mode "+mode,
 					"rules "+strings.Join(ruleNames, ","),
 					"patterns "+strings.Join(flag.Args(), " "))
 				if err == nil {
@@ -116,8 +108,8 @@ func main() {
 	if cacheKey != "" {
 		if e, ok := lint.CacheGet(cacheDir, cacheKey); ok {
 			emit(e.TypeErrors, e.Findings, *jsonOut)
-			fmt.Fprintf(os.Stderr, "mcfslint: %d finding(s) in %d files, %d rules, %s (%s, cache hit)\n",
-				len(e.Findings), e.Files, len(rules), time.Since(start).Round(time.Millisecond), mode)
+			fmt.Fprintf(os.Stderr, "mcfslint: %d finding(s) in %d files, %d rules, %s (cache hit)\n",
+				len(e.Findings), e.Files, len(rules), time.Since(start).Round(time.Millisecond))
 			if *timing {
 				fmt.Fprintf(os.Stderr, "mcfslint: total_ms %d\n", time.Since(start).Milliseconds())
 			}
@@ -128,11 +120,7 @@ func main() {
 		}
 	}
 
-	load := lint.Load
-	if *typed {
-		load = lint.LoadTyped
-	}
-	pkgs, err := load(*chdir, flag.Args()...)
+	pkgs, err := lint.Load(*chdir, flag.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mcfslint:", err)
 		os.Exit(2)
@@ -163,8 +151,8 @@ func main() {
 			Files:      files,
 		})
 	}
-	fmt.Fprintf(os.Stderr, "mcfslint: %d finding(s) in %d files, %d rules, %s (%s, load %s, %s)\n",
-		len(findings), files, len(rules), elapsed.Round(time.Millisecond), mode, loadElapsed.Round(time.Millisecond), cacheStatus)
+	fmt.Fprintf(os.Stderr, "mcfslint: %d finding(s) in %d files, %d rules, %s (load %s, %s)\n",
+		len(findings), files, len(rules), elapsed.Round(time.Millisecond), loadElapsed.Round(time.Millisecond), cacheStatus)
 	if *timing {
 		for _, rt := range ruleTimes {
 			fmt.Fprintf(os.Stderr, "mcfslint: rule %-26s %s\n", rt.Rule, rt.Elapsed.Round(10*time.Microsecond))
@@ -180,7 +168,7 @@ func main() {
 // live run and a cache replay alike.
 func emit(typeErrors []string, findings []lint.Finding, jsonOut bool) {
 	for _, msg := range typeErrors {
-		fmt.Fprintf(os.Stderr, "mcfslint: type error (rules fall back to syntax where affected): %s\n", msg)
+		fmt.Fprintf(os.Stderr, "mcfslint: type error (code it leaves unresolved is not checked): %s\n", msg)
 	}
 	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)

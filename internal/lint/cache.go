@@ -14,16 +14,16 @@ import (
 
 // Result caching.
 //
-// Type-checking dominates a typed mcfslint run, and the inputs that can
+// Type-checking dominates an mcfslint run, and the inputs that can
 // change its outcome are few and hashable: the module's Go sources,
-// go.mod, the linter binary itself, and the run configuration (mode,
-// rule subset, patterns). CacheKey folds all of them into one run-level
+// go.mod, the linter binary itself, and the run configuration (rule
+// subset, patterns). CacheKey folds all of them into one run-level
 // key; CacheGet/CachePut persist the run's findings and type errors
 // under that key so an unchanged tree replays in milliseconds instead
 // of re-type-checking.
 //
 // The key deliberately hashes the whole module, not just the files the
-// patterns match: typed loading follows in-module imports transitively,
+// patterns match: loading follows in-module imports transitively,
 // so a file outside the pattern set can still change the findings
 // inside it. Hashing everything over-invalidates (an edit anywhere in
 // the module discards a cmd/...-only entry) but can never serve stale
@@ -60,7 +60,7 @@ func CacheDir() (string, error) {
 
 // CacheKey hashes everything that can change a run's outcome: the extra
 // strings (caller-supplied configuration — binary hash, toolchain
-// version, mode, rule names, patterns), go.mod, and the path and
+// version, rule names, patterns), go.mod, and the path and
 // content of every Go file in the module, walked with the same skip
 // rules Load uses (testdata, vendor, dot- and underscore-prefixed
 // names). The walk is deterministic, so identical trees produce

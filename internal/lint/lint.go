@@ -7,13 +7,13 @@
 //
 // The engine is deliberately stdlib-only (go/parser, go/ast, go/token,
 // go/types, go/importer; no x/tools dependency, matching the module's
-// stdlib-only rule). LoadTyped attaches full go/types information —
+// stdlib-only rule). Load attaches full go/types information —
 // in-module imports resolved from source, stdlib from GOROOT/src — and
-// every rule prefers resolved objects and static types over spelling
-// when that info is present; with plain Load each rule falls back to
-// its original syntactic heuristics, so the engine still works on
-// fixture trees and broken packages. Deliberate exceptions are
-// annotated in the tree with
+// every rule works from resolved objects and static types rather than
+// spelling. The type-check is best-effort, so the engine still runs on
+// a tree with type errors: an expression the checker could not resolve
+// is simply not reported on. Deliberate exceptions are annotated in
+// the tree with
 //
 //	//lint:ignore <rule>[,<rule>...] <reason>
 //
@@ -56,10 +56,9 @@ type File struct {
 
 // Package groups the files of one directory. Dir is the directory's
 // module-relative slash path ("." for the module root); rules use it to
-// decide whether they apply. Types/Info are populated by LoadTyped
-// (nil after a plain Load, or for test-only directories): rules use
-// them when present and fall back to their syntactic heuristics when
-// not, so the engine degrades instead of failing.
+// decide whether they apply. Load sets Types and Info on every package
+// (a test-only directory gets an empty package); test files are parsed
+// but not type-checked, so their expressions resolve to nothing.
 type Package struct {
 	Dir   string
 	Files []*File

@@ -8,34 +8,21 @@ import (
 	"testing"
 )
 
-// loadFixture parses testdata/<name> as a single package and relabels
+// loadFixture loads testdata/<name> as a single package and relabels
 // it with a virtual module-relative directory, so path-scoped rules see
 // the fixture as if it lived inside the module.
 func loadFixture(t *testing.T, name, virtualDir string) *Package {
 	t.Helper()
-	pkgs, err := Load(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("fixture %s: got %d packages, want 1", name, len(pkgs))
-	}
-	pkg := pkgs[0]
-	pkg.Dir = virtualDir
-	for _, f := range pkg.Files {
-		f.Path = path.Join(virtualDir, path.Base(f.Path))
-	}
-	return pkg
+	return loadFixtureTyped(t, name, map[string]string{".": virtualDir})[0]
 }
 
-// loadFixtureTyped loads testdata/<name> through the typed loader —
-// the fixture may be a multi-package module with its own go.mod — and
-// relabels each package per dirs (fixture-relative dir → virtual
+// loadFixtureTyped loads testdata/<name> — the fixture may be a
+// multi-package module with its own go.mod — and relabels each package per dirs (fixture-relative dir → virtual
 // module-relative dir). Fixtures must type-check: a type error here is
 // a broken fixture, not a tolerated condition.
 func loadFixtureTyped(t *testing.T, name string, dirs map[string]string) []*Package {
 	t.Helper()
-	pkgs, err := LoadTyped(filepath.Join("testdata", name))
+	pkgs, err := Load(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,30 +33,6 @@ func loadFixtureTyped(t *testing.T, name string, dirs map[string]string) []*Pack
 		for _, msg := range pkg.TypeErrors {
 			t.Errorf("fixture %s: type error: %s", name, msg)
 		}
-		if !pkg.Typed() {
-			t.Errorf("fixture %s: package %s carries no type info", name, pkg.Dir)
-		}
-		virtual, ok := dirs[pkg.Dir]
-		if !ok {
-			t.Fatalf("fixture %s: unexpected package dir %q", name, pkg.Dir)
-		}
-		pkg.Dir = virtual
-		for _, f := range pkg.Files {
-			f.Path = path.Join(virtual, path.Base(f.Path))
-		}
-	}
-	return pkgs
-}
-
-// loadFixtureSyntactic is the multi-package variant of loadFixture for
-// asserting the syntactic fallback's behavior on typed fixtures.
-func loadFixtureSyntactic(t *testing.T, name string, dirs map[string]string) []*Package {
-	t.Helper()
-	pkgs, err := Load(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pkg := range pkgs {
 		virtual, ok := dirs[pkg.Dir]
 		if !ok {
 			t.Fatalf("fixture %s: unexpected package dir %q", name, pkg.Dir)
@@ -249,42 +212,18 @@ func TestSharedMutationOutOfScope(t *testing.T) {
 	}
 }
 
-// TestSharedMutationSilentWithoutTypes: the rule needs go/types info
-// and must stay silent, not guess, on a syntactic load.
-func TestSharedMutationSilentWithoutTypes(t *testing.T) {
-	pkgs := loadFixtureSyntactic(t, "sharedmutation", sharedMutationDirs)
-	if got := Run(pkgs, []Rule{SharedMutation{}}); len(got) != 0 {
-		t.Errorf("typed-only rule fired without type info: %v", got)
-	}
-}
-
 func TestCtxPropagationRule(t *testing.T) {
 	pkgs := loadFixtureTyped(t, "ctxpropagation", map[string]string{".": "internal/solver"})
 	checkFixtures(t, pkgs, []Rule{CtxPropagation{}})
 }
 
-func TestCtxPropagationSilentWithoutTypes(t *testing.T) {
-	pkgs := loadFixtureSyntactic(t, "ctxpropagation", map[string]string{".": "internal/solver"})
-	if got := Run(pkgs, []Rule{CtxPropagation{}}); len(got) != 0 {
-		t.Errorf("typed-only rule fired without type info: %v", got)
-	}
-}
-
-// The *typed fixtures hold violations only type information can see:
-// each has a want-comment test through the typed loader and a
-// zero-finding test through the syntactic one, documenting exactly what
-// the typed engine buys.
+// The *typed fixtures hold violations that only resolved types and
+// objects expose: a context behind a named type, a map behind a
+// cross-package field, a file behind an io.Closer.
 
 func TestCtxCheckpointTyped(t *testing.T) {
 	pkgs := loadFixtureTyped(t, "ctxcheckpointtyped", map[string]string{".": "internal/solver"})
 	checkFixtures(t, pkgs, []Rule{CtxCheckpoint{}})
-}
-
-func TestCtxCheckpointTypedSyntacticMisses(t *testing.T) {
-	pkgs := loadFixtureSyntactic(t, "ctxcheckpointtyped", map[string]string{".": "internal/solver"})
-	if got := Run(pkgs, []Rule{CtxCheckpoint{}}); len(got) != 0 {
-		t.Errorf("syntactic pass should not see these (they need type info): %v", got)
-	}
 }
 
 func TestDeterminismTyped(t *testing.T) {
@@ -292,23 +231,9 @@ func TestDeterminismTyped(t *testing.T) {
 	checkFixtures(t, pkgs, []Rule{Determinism{}})
 }
 
-func TestDeterminismTypedSyntacticMisses(t *testing.T) {
-	pkgs := loadFixtureSyntactic(t, "determinismtyped", map[string]string{".": "internal/core"})
-	if got := Run(pkgs, []Rule{Determinism{}}); len(got) != 0 {
-		t.Errorf("syntactic pass should not see these (they need type info): %v", got)
-	}
-}
-
 func TestCloseCheckTyped(t *testing.T) {
 	pkgs := loadFixtureTyped(t, "closechecktyped", map[string]string{".": "cmd/fixture"})
 	checkFixtures(t, pkgs, []Rule{CloseCheck{}})
-}
-
-func TestCloseCheckTypedSyntacticMisses(t *testing.T) {
-	pkgs := loadFixtureSyntactic(t, "closechecktyped", map[string]string{".": "cmd/fixture"})
-	if got := Run(pkgs, []Rule{CloseCheck{}}); len(got) != 0 {
-		t.Errorf("syntactic pass should not see these (they need type info): %v", got)
-	}
 }
 
 // TestDirectiveHygiene covers the lint-directive pseudo-rule: stale,
@@ -356,32 +281,15 @@ func TestFindingString(t *testing.T) {
 	}
 }
 
-// TestModuleClean is the gate the CI step relies on: the real module,
-// under every rule, has zero findings. Any new violation fails this
+// TestModuleCleanTyped is the gate the CI step relies on: the real
+// module type-checks without errors, every package carries type info,
+// and the full rule set has zero findings. Any new violation fails this
 // test before it fails CI.
-func TestModuleClean(t *testing.T) {
-	pkgs, err := Load("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) < 15 {
-		t.Fatalf("loaded only %d packages from the module root; the loader is missing directories", len(pkgs))
-	}
-	for _, fd := range Run(pkgs, AllRules()) {
-		t.Errorf("module not lint-clean: %s", fd)
-	}
-}
-
-// TestModuleCleanTyped is the typed twin of TestModuleClean and the
-// gate CI actually runs: the real module type-checks without errors and
-// has zero findings under the full rule set with type info attached —
-// including the typed-only rules, which are silent in the syntactic
-// run above.
 func TestModuleCleanTyped(t *testing.T) {
 	if testing.Short() {
-		t.Skip("typed load reads GOROOT/src; skip in -short")
+		t.Skip("the module load reads GOROOT/src; skip in -short")
 	}
-	pkgs, err := LoadTyped("../..")
+	pkgs, err := Load("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,18 +300,12 @@ func TestModuleCleanTyped(t *testing.T) {
 		for _, msg := range pkg.TypeErrors {
 			t.Errorf("package %s: type error: %s", pkg.Dir, msg)
 		}
-		hasNonTest := false
-		for _, f := range pkg.Files {
-			if !f.Test {
-				hasNonTest = true
-			}
-		}
-		if hasNonTest && !pkg.Typed() {
-			t.Errorf("package %s has non-test files but no type info", pkg.Dir)
+		if pkg.Types == nil || pkg.Info == nil {
+			t.Errorf("package %s carries no type info", pkg.Dir)
 		}
 	}
 	for _, fd := range Run(pkgs, AllRules()) {
-		t.Errorf("module not lint-clean under typed rules: %s", fd)
+		t.Errorf("module not lint-clean: %s", fd)
 	}
 }
 

@@ -11,20 +11,33 @@ import (
 	"strings"
 )
 
-// Load resolves Go-style package patterns against root and parses every
-// matched file. A pattern is either a directory path ("./cmd/mcfscli",
-// ".") or a recursive prefix ("./...", "internal/..."). Paths in the
-// returned packages are module-relative to root. Directories named
-// testdata or vendor, and names starting with "." or "_", are skipped —
-// the same convention the go tool uses — which keeps this package's own
-// deliberately-violating fixtures out of a module-wide run.
+// Load resolves Go-style package patterns against root, parses every
+// matched file and type-checks the result. A pattern is either a
+// directory path ("./cmd/mcfscli", ".") or a recursive prefix ("./...",
+// "internal/..."). Paths in the returned packages are module-relative
+// to root. Directories named testdata or vendor, and names starting
+// with "." or "_", are skipped — the same convention the go tool uses —
+// which keeps this package's own deliberately-violating fixtures out of
+// a module-wide run.
+//
+// The type-check is best-effort (typed.go): a package that fails to
+// type-check keeps partial info and records its errors in
+// Package.TypeErrors rather than failing the load — the build gate, not
+// the linter, owns rejecting invalid Go. An I/O or parse failure
+// returns an error.
 func Load(root string, patterns ...string) ([]*Package, error) {
-	return load(token.NewFileSet(), root, patterns...)
+	fset := token.NewFileSet()
+	pkgs, err := parsePatterns(fset, root, patterns...)
+	if err != nil {
+		return nil, err
+	}
+	typeCheckAll(fset, root, pkgs)
+	return pkgs, nil
 }
 
-// load is Load against a caller-owned FileSet (shared with the typed
-// layer so checker positions and parser positions agree).
-func load(fset *token.FileSet, root string, patterns ...string) ([]*Package, error) {
+// parsePatterns resolves the patterns and parses every matched package
+// into fset.
+func parsePatterns(fset *token.FileSet, root string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}

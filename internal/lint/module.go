@@ -9,7 +9,7 @@ import (
 
 // Module is the whole-run context handed to ModuleRules: every loaded
 // package, plus the cross-package function summaries (summary.go)
-// computed over the typed ones. Package rules see one package at a
+// computed over them. Package rules see one package at a
 // time; module rules see the seams between them — which is exactly
 // where the serve-era invariants (sentinel parity, single-writer
 // confinement, provenance escaping through an exported helper) live.
@@ -32,7 +32,7 @@ func newModule(pkgs []*Package) *Module {
 	for _, p := range pkgs {
 		m.byDir[p.Dir] = p
 	}
-	for _, p := range m.typedInImportOrder() {
+	for _, p := range m.inImportOrder() {
 		m.summaries[p.Types.Path()] = summarizePackage(m, p)
 	}
 	return m
@@ -43,8 +43,7 @@ func newModule(pkgs []*Package) *Module {
 func (m *Module) PackageByDir(dir string) *Package { return m.byDir[dir] }
 
 // summaryFor returns the summary of the package with the given import
-// path, or nil when it was not part of the run (out-of-module, or the
-// run was syntactic).
+// path, or nil when it was not part of the run (out-of-module).
 func (m *Module) summaryFor(path string) *pkgSummary { return m.summaries[path] }
 
 // funcSummaryOf resolves the summary of the function or method obj
@@ -61,19 +60,16 @@ func (m *Module) funcSummaryOf(obj types.Object) *funcSummary {
 	return ps.funcs[summaryKey(fn)]
 }
 
-// typedInImportOrder returns the typed packages sorted so that every
-// package appears after the in-run packages it imports (imports are
-// acyclic in valid Go; ties resolve by Dir for determinism).
-func (m *Module) typedInImportOrder() []*Package {
+// inImportOrder returns the packages sorted so that every package
+// appears after the in-run packages it imports (imports are acyclic in
+// valid Go; ties resolve by Dir for determinism).
+func (m *Module) inImportOrder() []*Package {
 	byPath := make(map[string]*Package)
-	var typed []*Package
-	for _, p := range m.Pkgs {
-		if p.Typed() && p.Types != nil {
-			typed = append(typed, p)
-			byPath[p.Types.Path()] = p
-		}
+	sorted := append([]*Package(nil), m.Pkgs...)
+	for _, p := range sorted {
+		byPath[p.Types.Path()] = p
 	}
-	sort.Slice(typed, func(i, j int) bool { return typed[i].Dir < typed[j].Dir })
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Dir < sorted[j].Dir })
 
 	var order []*Package
 	state := make(map[*Package]int) // 0 unvisited, 1 visiting, 2 done
@@ -91,7 +87,7 @@ func (m *Module) typedInImportOrder() []*Package {
 		state[p] = 2
 		order = append(order, p)
 	}
-	for _, p := range typed {
+	for _, p := range sorted {
 		visit(p)
 	}
 	return order
@@ -110,13 +106,10 @@ func (p *Package) fileAt(pos token.Pos) *File {
 }
 
 // funcDecls indexes the package's function declarations (with bodies)
-// by their resolved object. Test files are skipped, matching the rest
-// of the typed engine.
+// by their resolved object. Test files are skipped: they are not
+// type-checked.
 func (p *Package) funcDecls() map[types.Object]*declSite {
 	decls := make(map[types.Object]*declSite)
-	if !p.Typed() {
-		return decls
-	}
 	for _, f := range p.Files {
 		if f.Test {
 			continue

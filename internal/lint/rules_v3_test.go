@@ -15,15 +15,6 @@ func TestPublishedImmutabilityRule(t *testing.T) {
 	checkFixtures(t, pkgs, []Rule{PublishedImmutability{}})
 }
 
-// TestPublishedImmutabilitySilentWithoutTypes: the rule needs go/types
-// info and must stay silent, not guess, on a syntactic load.
-func TestPublishedImmutabilitySilentWithoutTypes(t *testing.T) {
-	pkgs := loadFixtureSyntactic(t, "publishedimmutability", publishedImmutabilityDirs)
-	if got := Run(pkgs, []Rule{PublishedImmutability{}}); len(got) != 0 {
-		t.Errorf("typed-only rule fired without type info: %v", got)
-	}
-}
-
 var singleWriterDirs = map[string]string{
 	"dynamic": "internal/dynamic",
 	"serve":   "internal/serve",

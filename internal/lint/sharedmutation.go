@@ -10,7 +10,7 @@ import (
 // (DESIGN.md §8): once an instance is handed to the worker pool, the
 // *data.Instance and *graph.Graph it references are shared read-only
 // across concurrently running cells, so nothing reached from a cell may
-// write through them. The rule is typed and runs on the v3 engine: it
+// write through them. The rule runs on the v3 engine: it
 // starts at every function literal submitted via pool.cell, seeds the
 // flow-sensitive provenance analysis (provenance.go) — owned: built
 // here from a composite literal, new, or a Clone call; shared: received
@@ -47,11 +47,10 @@ func (r SharedMutation) Check(pkg *Package, report ReportFunc) {
 	r.CheckModule(newModule([]*Package{pkg}), report)
 }
 
-// CheckModule implements ModuleRule. The rule needs type information;
-// without it (plain Load) it stays silent rather than guessing.
+// CheckModule implements ModuleRule.
 func (SharedMutation) CheckModule(m *Module, report ReportFunc) {
 	for _, pkg := range m.Pkgs {
-		if pkg.Dir != "internal/bench" || !pkg.Typed() {
+		if pkg.Dir != "internal/bench" {
 			continue
 		}
 		c := &sharedChecker{pkg: pkg, mod: m, report: report, analyzed: make(map[string]bool)}

@@ -8,7 +8,7 @@ import (
 // algorithms.go is the sanctioned registry file: binding internal
 // solver implementations here is the point, not a finding.
 func registryBindings() {
-	baseline.HilbertCtx()
-	core.SolveCtx()
-	core.SolveUniformFirstCtx()
+	baseline.HilbertCtx(nil, nil, core.Options{})
+	core.SolveCtx(nil, nil, core.Options{})
+	core.SolveUniformFirstCtx(nil, nil, core.Options{})
 }

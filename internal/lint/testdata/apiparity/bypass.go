@@ -8,16 +8,16 @@ import (
 // Reaching the baseline package outside algorithms.go reopens a private
 // dispatch path around the Algorithm registry.
 func sneakyBaseline() {
-	baseline.BRNNCtx() // want "bypasses the Algorithm registry"
+	baseline.BRNNCtx(nil, nil, corealias.Options{}) // want "bypasses the Algorithm registry"
 }
 
 // The core Solve* family is guarded even behind a renamed import.
 func sneakyCore() {
-	corealias.SolveCtx() // want "bypasses the Algorithm registry"
+	corealias.SolveCtx(nil, nil, corealias.Options{}) // want "bypasses the Algorithm registry"
 }
 
 // core's non-Solve helpers remain fair game for the rest of the root
 // package.
 func coreHelper() {
-	corealias.AssignToSelectionCtx()
+	corealias.AssignToSelectionCtx(nil, nil, nil, corealias.Options{})
 }

@@ -1,6 +1,7 @@
-// Package fix exercises the typed sharpening of the determinism rule:
-// a map behind a named type is invisible to the syntactic index but
-// still iterates in random order.
+// Package fix exercises what type information buys the determinism
+// rule: a map behind a named type still iterates in random order, and
+// only a call that resolves to a sorting function makes the collected
+// order deterministic.
 package fix
 
 import "sort"
@@ -34,4 +35,13 @@ func (c counter) keys() []string {
 		out = append(out, k)
 	}
 	return out
+}
+
+// Searching is not sorting: the collected order still leaks.
+func collectThenSearch(m tally, x string) int {
+	var out []string
+	for k := range m { // want "order-nondeterministic"
+		out = append(out, k)
+	}
+	return sort.SearchStrings(out, x)
 }

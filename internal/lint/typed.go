@@ -12,36 +12,27 @@ import (
 	"strings"
 )
 
-// This file is the typed layer of the engine: LoadTyped parses the same
-// packages as Load and then type-checks them with the stdlib go/types
-// checker, so rules can resolve what an expression actually *is*
-// (a context.Context behind a named interface, an *os.File behind an
-// io.Closer, a map behind a named type from another package) instead of
-// pattern-matching its spelling. The module's stdlib-only constraint
-// holds: imports are resolved by a module-aware importer that
-// type-checks in-module packages from the loaded sources and delegates
-// standard-library paths to go/importer's source importer (which reads
-// GOROOT/src — no compiled export data, no x/tools).
+// This file is the typed layer of the engine: Load type-checks every
+// parsed package with the stdlib go/types checker, so rules can resolve
+// what an expression actually *is* (a context.Context behind a named
+// interface, an *os.File behind an io.Closer, a map behind a named type
+// from another package) instead of pattern-matching its spelling. The
+// module's stdlib-only constraint holds: imports are resolved by a
+// module-aware importer that type-checks in-module packages from the
+// loaded sources and delegates standard-library paths to go/importer's
+// source importer (which reads GOROOT/src — no compiled export data, no
+// x/tools).
 //
-// Test files are excluded from type-checking: rules only report in
+// Test files are excluded from type-checking: most rules only report in
 // non-test files, external _test packages would need a second checker
 // pass, and the fixture corpus stays small. A package whose only files
-// are tests (cmd/, with its integration test) simply carries no type
-// info; every rule falls back to its syntactic path there.
+// are tests (cmd/, with its integration test) is checked as an empty
+// package, so every package carries non-nil Types and Info.
 
-// LoadTyped is Load followed by a best-effort type-check of every
-// loaded package. Type information is attached to the returned packages
-// (Package.Types / Package.Info); packages that fail to type-check keep
-// partial info and record their errors in Package.TypeErrors rather
-// than failing the load — the build gate, not the linter, owns
-// rejecting invalid Go. An I/O or parse failure still returns an error,
-// exactly as Load does.
-func LoadTyped(root string, patterns ...string) ([]*Package, error) {
-	fset := token.NewFileSet()
-	pkgs, err := load(fset, root, patterns...)
-	if err != nil {
-		return nil, err
-	}
+// typeCheckAll type-checks every package of pkgs (parsed into fset from
+// under root), attaching Package.Types, Package.Info and
+// Package.TypeErrors.
+func typeCheckAll(fset *token.FileSet, root string, pkgs []*Package) {
 	im := &moduleImporter{
 		fset:    fset,
 		root:    root,
@@ -57,7 +48,6 @@ func LoadTyped(root string, patterns ...string) ([]*Package, error) {
 	for _, p := range pkgs {
 		im.typeCheck(p)
 	}
-	return pkgs, nil
 }
 
 // modulePath extracts the module path from root/go.mod; it returns ""
@@ -119,8 +109,8 @@ func (im *moduleImporter) Import(path string) (*types.Package, error) {
 		return nil, fmt.Errorf("lint: import cycle through %q", path)
 	}
 	tp := im.typeCheck(pkg)
-	if tp == nil {
-		return nil, fmt.Errorf("lint: type-checking %q failed: %v", path, pkg.TypeErrors)
+	if tp.Name() == "" {
+		return nil, fmt.Errorf("lint: import %q: no non-test Go files in %s", path, dir)
 	}
 	return tp, nil
 }
@@ -149,12 +139,11 @@ func (im *moduleImporter) importPath(dir string) string {
 }
 
 // typeCheck runs the go/types checker over pkg's non-test files,
-// memoized by import path. It returns nil when the package has no
-// non-test files (test-only directories like cmd/) — the package then
-// simply carries no type info. Checker errors are collected on the
-// package, and whatever partial info the checker produced is kept:
-// a missing type makes a rule fall back to syntax for that expression,
-// it does not disable the typed engine.
+// memoized by import path. A package with no non-test files (test-only
+// directories like cmd/) checks as an empty, unnamed package. Checker
+// errors are collected on the package, and whatever partial info the
+// checker produced is kept: an expression the checker could not type
+// has no type, and rules do not report on what they cannot resolve.
 func (im *moduleImporter) typeCheck(pkg *Package) *types.Package {
 	path := im.importPath(pkg.Dir)
 	if path == "" {
@@ -168,9 +157,6 @@ func (im *moduleImporter) typeCheck(pkg *Package) *types.Package {
 		if !f.Test {
 			files = append(files, f.AST)
 		}
-	}
-	if len(files) == 0 {
-		return nil
 	}
 	im.pending[path] = true
 	defer delete(im.pending, path)
@@ -197,25 +183,13 @@ func (im *moduleImporter) typeCheck(pkg *Package) *types.Package {
 	return tp
 }
 
-// Typed reports whether type information is attached to the package.
-func (p *Package) Typed() bool { return p.Info != nil }
-
-// TypeOf resolves the static type of e, or nil without type info.
-func (p *Package) TypeOf(e ast.Expr) types.Type {
-	if p.Info == nil {
-		return nil
-	}
-	return p.Info.TypeOf(e)
-}
+// TypeOf resolves the static type of e, or nil when the checker could
+// not type it.
+func (p *Package) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 
 // ObjectOf resolves the object an identifier denotes (use or def), or
-// nil without type info.
-func (p *Package) ObjectOf(id *ast.Ident) types.Object {
-	if p.Info == nil {
-		return nil
-	}
-	return p.Info.ObjectOf(id)
-}
+// nil when the checker could not resolve it.
+func (p *Package) ObjectOf(id *ast.Ident) types.Object { return p.Info.ObjectOf(id) }
 
 // isPkgFunc reports whether the call's callee resolves, by type
 // information, to the package-level function pkgPath.name (robust
